@@ -37,13 +37,6 @@ pub struct FigureSpec {
     pub lines: Vec<StrategyLine>,
 }
 
-/// Engine preset for a strategy on the given platform profile. (Pure
-/// convenience: sfu strategies need `IdentityWrite` on the commercial
-/// profile, which `commercial_like` already sets.)
-pub fn strategy_engine(platform: &EngineConfig, _strategy: Strategy) -> EngineConfig {
-    platform.clone()
-}
-
 fn build_driver(
     engine: &EngineConfig,
     strategy: Strategy,

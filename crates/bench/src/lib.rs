@@ -23,7 +23,7 @@ pub mod report;
 
 pub use figures::{
     abort_profile, certify_figure, certify_run, print_certification, print_figure, run_figure,
-    strategy_engine, CertifyOptions, FigureSpec, StrategyLine,
+    CertifyOptions, FigureSpec, StrategyLine,
 };
 pub use mode::BenchMode;
 pub use report::{

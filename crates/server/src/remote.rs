@@ -1,24 +1,40 @@
-//! The SmallBank procedures executed over the wire, plus the driver
+//! The SmallBank programs executed over the wire, plus the driver
 //! adapter that makes the remote bank a measurable [`Workload`].
 //!
-//! [`RemoteBank`] mirrors the *base coding* of the five programs in
-//! `sicost_smallbank::procs` statement for statement (same reads, same
-//! arithmetic, same rollback rules) — the only difference is that every
-//! statement is a protocol round trip and the trailing balance writes
-//! are pipelined into the commit flush. Strategy modifications are a
-//! server-side concern the remote coding does not replicate; the
-//! client/server equivalence tests therefore compare against
-//! `Strategy::BaseSI` under each concurrency-control mode.
+//! The programs are coded once, in `sicost_smallbank::procs`, over its
+//! [`Session`] trait; this module makes the client's [`ClientTxn`] a
+//! second session. Every statement is then a protocol round trip, except
+//! `update`, which is pipelined so a program's trailing writes ride in
+//! the commit's network flush. [`RemoteBank`] runs the base coding
+//! (`Strategy::BaseSI`); the client/server equivalence tests compare it
+//! against the in-process bank under each concurrency-control mode.
 
 use crate::client::{ClientError, ClientPool, ClientTxn, CommitOutcome};
 use crate::transport::Transport;
-use sicost_common::{Money, TableId, Xoshiro256};
+use sicost_common::{TableId, Xoshiro256};
 use sicost_driver::{Outcome, Workload};
 use sicost_engine::TxnError;
+use sicost_smallbank::driver_adapter::{classify, kinds, sample};
+use sicost_smallbank::procs::{self, Session};
 use sicost_smallbank::schema::Tables;
+use sicost_smallbank::strategy::Mods;
 use sicost_smallbank::workload::TxnRequest;
-use sicost_smallbank::{SbError, SmallBankWorkload, TxnKind};
+use sicost_smallbank::{SbError, SmallBankWorkload, Strategy};
 use sicost_storage::{Row, Value};
+
+impl<T: Transport> Session for ClientTxn<'_, T> {
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        ClientTxn::read(self, table, key)
+    }
+
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        ClientTxn::read_for_update(self, table, key)
+    }
+
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError> {
+        self.update_pipelined(table, key, row)
+    }
+}
 
 /// How a remote procedure failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,12 +49,6 @@ pub enum RemoteError {
     /// transaction may or may not have applied — only the database
     /// knows (the recovery-torture oracle's *undecided* class).
     Indeterminate(ClientError),
-}
-
-impl From<TxnError> for RemoteError {
-    fn from(e: TxnError) -> Self {
-        RemoteError::Sb(SbError::Txn(e))
-    }
 }
 
 impl std::fmt::Display for RemoteError {
@@ -65,6 +75,7 @@ impl RemoteError {
 pub struct RemoteBank<T: Transport> {
     pool: ClientPool<T>,
     tables: Tables,
+    mods: Mods,
 }
 
 fn commit_outcome(outcome: CommitOutcome) -> Result<(), RemoteError> {
@@ -92,7 +103,11 @@ impl<T: Transport> RemoteBank<T> {
                 conflict: find("Conflict")?,
             })
         })??;
-        Ok(Self { pool, tables })
+        Ok(Self {
+            pool,
+            tables,
+            mods: Strategy::BaseSI.mods(),
+        })
     }
 
     /// The table ids in use.
@@ -100,152 +115,32 @@ impl<T: Transport> RemoteBank<T> {
         &self.tables
     }
 
-    /// Runs `body` inside a fresh transaction on a pooled connection.
-    /// `body` returns the pipelined-commit decision implicitly: it gets
-    /// the open transaction and must end it (commit happens here).
-    fn transact<R>(
+    /// Runs `program` (e.g. one of `sicost_smallbank::procs`'s programs,
+    /// for its result) in a fresh transaction on a pooled connection:
+    /// commits on `Ok`, rolls back on `Err`.
+    pub fn transact<R>(
         &self,
-        body: impl FnOnce(&mut ClientTxn<'_, T>) -> Result<R, RemoteError>,
+        program: impl FnOnce(&mut ClientTxn<'_, T>) -> Result<R, SbError>,
     ) -> Result<R, RemoteError> {
-        let mut client = match self.pool.checkout() {
-            Ok(c) => c,
-            Err(e) => return Err(RemoteError::NotCommitted(e)),
-        };
-        let result = (|| {
-            let mut txn = client.begin().map_err(RemoteError::NotCommitted)?;
-            match body(&mut txn) {
+        let mut client = self.pool.checkout().map_err(RemoteError::NotCommitted)?;
+        let result = match client.begin() {
+            Err(e) => Err(RemoteError::NotCommitted(e)),
+            Ok(mut txn) => match program(&mut txn) {
                 Ok(r) => commit_outcome(txn.commit()).map(|()| r),
                 Err(e) => {
                     txn.rollback();
-                    Err(e)
+                    Err(RemoteError::Sb(e))
                 }
-            }
-        })();
+            },
+        };
         self.pool.checkin(client);
         result
     }
 
-    /// `SELECT CustomerId FROM Account WHERE Name = :n` — the shared
-    /// lookup fragment.
-    fn lookup_cid(&self, txn: &mut ClientTxn<'_, T>, name: &str) -> Result<Option<i64>, TxnError> {
-        Ok(txn
-            .read(self.tables.account, &Value::str(name))?
-            .map(|row| row.int(1)))
-    }
-
-    fn read_balance(
-        &self,
-        txn: &mut ClientTxn<'_, T>,
-        table: TableId,
-        cid: i64,
-    ) -> Result<Money, TxnError> {
-        let row = txn.read(table, &Value::int(cid))?;
-        Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
-    }
-
-    /// Pipelined balance write: rides in the commit's network flush.
-    fn write_balance(
-        &self,
-        txn: &mut ClientTxn<'_, T>,
-        table: TableId,
-        cid: i64,
-        balance: Money,
-    ) -> Result<(), TxnError> {
-        txn.update_pipelined(
-            table,
-            &Value::int(cid),
-            Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
-        )
-    }
-
-    /// `Balance(N)` — base coding (read-only).
-    pub fn balance(&self, name: &str) -> Result<Money, RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            Ok(sav + chk)
-        })
-    }
-
-    /// `DepositChecking(N, V)` — base coding.
-    pub fn deposit_checking(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        if v.is_negative() {
-            return Err(RemoteError::Sb(SbError::InvalidAmount));
-        }
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            self.write_balance(txn, self.tables.checking, cid, chk + v)?;
-            Ok(())
-        })
-    }
-
-    /// `TransactSaving(N, V)` — base coding.
-    pub fn transact_saving(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let new = sav + v;
-            if new.is_negative() {
-                return Err(RemoteError::Sb(SbError::InsufficientFunds));
-            }
-            self.write_balance(txn, self.tables.saving, cid, new)?;
-            Ok(())
-        })
-    }
-
-    /// `Amalgamate(N1, N2)` — base coding.
-    pub fn amalgamate(&self, n1: &str, n2: &str) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let (Some(cid1), Some(cid2)) = (self.lookup_cid(txn, n1)?, self.lookup_cid(txn, n2)?)
-            else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav1 = self.read_balance(txn, self.tables.saving, cid1)?;
-            let chk1 = self.read_balance(txn, self.tables.checking, cid1)?;
-            let chk2 = self.read_balance(txn, self.tables.checking, cid2)?;
-            self.write_balance(txn, self.tables.saving, cid1, Money::ZERO)?;
-            self.write_balance(txn, self.tables.checking, cid1, Money::ZERO)?;
-            self.write_balance(txn, self.tables.checking, cid2, chk2 + sav1 + chk1)?;
-            Ok(())
-        })
-    }
-
-    /// `WriteCheck(N, V)` — base coding (no table lock; the pivot-lock
-    /// variant is a server-side strategy).
-    pub fn write_check(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            let charge = if (sav + chk) < v {
-                v + Money::dollars(1)
-            } else {
-                v
-            };
-            self.write_balance(txn, self.tables.checking, cid, chk - charge)?;
-            Ok(())
-        })
-    }
-
-    /// Dispatches one sampled request.
+    /// Runs one sampled request.
     pub fn execute(&self, req: &TxnRequest) -> Result<(), RemoteError> {
-        match req {
-            TxnRequest::Balance { name } => self.balance(name).map(|_| ()),
-            TxnRequest::DepositChecking { name, v } => self.deposit_checking(name, *v),
-            TxnRequest::TransactSaving { name, v } => self.transact_saving(name, *v),
-            TxnRequest::Amalgamate { n1, n2 } => self.amalgamate(n1, n2),
-            TxnRequest::WriteCheck { name, v } => self.write_check(name, *v),
-        }
+        procs::precheck(req).map_err(RemoteError::Sb)?;
+        self.transact(|txn| procs::execute(txn, &self.tables, &self.mods, req))
     }
 }
 
@@ -262,13 +157,8 @@ impl<T: Transport> RemoteBank<T> {
 /// [`RetryPolicy`]: sicost_driver::RetryPolicy
 pub fn classify_remote(result: Result<(), RemoteError>) -> Outcome {
     match result {
-        Ok(()) => Outcome::Committed,
-        Err(RemoteError::Sb(SbError::Txn(TxnError::Deadlock))) => Outcome::Deadlock,
-        Err(RemoteError::Sb(SbError::Txn(TxnError::Transient(_)))) => Outcome::TransientFault,
-        Err(RemoteError::Sb(SbError::Txn(e))) if e.is_serialization_failure() => {
-            Outcome::SerializationFailure
-        }
-        Err(RemoteError::Sb(_)) => Outcome::ApplicationRollback,
+        Ok(()) => classify(Ok(())),
+        Err(RemoteError::Sb(e)) => classify(Err(e)),
         Err(RemoteError::NotCommitted(_)) => Outcome::TransientFault,
         Err(RemoteError::Indeterminate(_)) => Outcome::Indeterminate,
     }
@@ -298,16 +188,11 @@ impl<T: Transport> Workload for RemoteWorkload<T> {
     type Request = TxnRequest;
 
     fn kinds(&self) -> Vec<&'static str> {
-        TxnKind::ALL.iter().map(|k| k.name()).collect()
+        kinds()
     }
 
     fn sample(&self, rng: &mut Xoshiro256) -> (usize, TxnRequest) {
-        let req = self.workload.sample(rng);
-        let kind_idx = TxnKind::ALL
-            .iter()
-            .position(|k| *k == req.kind())
-            .expect("known kind");
-        (kind_idx, req)
+        sample(&self.workload, rng)
     }
 
     fn execute(&self, req: &TxnRequest, _attempt: u32) -> Outcome {

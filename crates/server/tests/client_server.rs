@@ -22,8 +22,9 @@ use sicost_server::{
 };
 use sicost_sim::Sim;
 use sicost_smallbank::driver_adapter::SmallBankDriver;
+use sicost_smallbank::procs;
 use sicost_smallbank::schema::{build_database, customer_name, total_balance, Tables};
-use sicost_smallbank::workload::WorkloadParams;
+use sicost_smallbank::workload::{TxnRequest, WorkloadParams};
 use sicost_smallbank::{SmallBank, SmallBankConfig, SmallBankWorkload, Strategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
@@ -247,18 +248,23 @@ fn tcp_loopback_serves_the_same_procedures() {
     );
 
     let n = customer_name(3);
-    let before = remote.balance(&n).expect("balance");
+    let balance =
+        |name: &str| remote.transact(|txn| procs::balance(txn, rt, &Strategy::BaseSI.mods(), name));
+    let before = balance(&n).expect("balance");
     remote
-        .deposit_checking(&n, Money::dollars(25))
+        .execute(&TxnRequest::DepositChecking {
+            name: n.clone(),
+            v: Money::dollars(25),
+        })
         .expect("deposit");
-    assert_eq!(
-        remote.balance(&n).expect("balance"),
-        before + Money::dollars(25)
-    );
+    assert_eq!(balance(&n).expect("balance"), before + Money::dollars(25));
     remote
-        .amalgamate(&n, &customer_name(4))
+        .execute(&TxnRequest::Amalgamate {
+            n1: n.clone(),
+            n2: customer_name(4),
+        })
         .expect("amalgamate");
-    assert_eq!(remote.balance(&n).expect("balance"), Money::ZERO);
+    assert_eq!(balance(&n).expect("balance"), Money::ZERO);
     assert_eq!(
         total_balance(&db, &tables),
         initial + Money::dollars(25),

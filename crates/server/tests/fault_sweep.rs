@@ -26,6 +26,7 @@ use sicost_server::{
 };
 use sicost_sim::{BalanceAudit, Sim};
 use sicost_smallbank::schema::{build_database, customer_name, total_balance, Tables};
+use sicost_smallbank::workload::TxnRequest;
 use sicost_smallbank::SmallBankConfig;
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -111,7 +112,10 @@ fn run_scenario(dir: Direction, frame: u64, kind: FaultKind, seed: u64) -> Scena
                 // submitted; the books must be untouched.
             }
             Ok(remote) => {
-                let r = remote.deposit_checking(&customer, amount);
+                let r = remote.execute(&TxnRequest::DepositChecking {
+                    name: customer.clone(),
+                    v: amount,
+                });
                 match &r {
                     Ok(()) => audit.ack(amount.as_cents()),
                     Err(RemoteError::Indeterminate(_)) => audit.undecided(amount.as_cents()),
@@ -120,7 +124,10 @@ fn run_scenario(dir: Direction, frame: u64, kind: FaultKind, seed: u64) -> Scena
                 first_attempt = Some(r);
                 // Reconnect-and-retry: the pool discards the broken
                 // connection and dials a fresh one, which must work.
-                let retry = remote.deposit_checking(&customer, retry_amount);
+                let retry = remote.execute(&TxnRequest::DepositChecking {
+                    name: customer.clone(),
+                    v: retry_amount,
+                });
                 retried_ok = retry.is_ok();
                 if retried_ok {
                     audit.ack(retry_amount.as_cents());

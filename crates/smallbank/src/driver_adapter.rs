@@ -25,7 +25,8 @@ impl SmallBankDriver {
     }
 }
 
-fn classify(result: Result<(), SbError>) -> Outcome {
+/// Maps a program's result into the driver's outcome taxonomy.
+pub fn classify(result: Result<(), SbError>) -> Outcome {
     match result {
         Ok(()) => Outcome::Committed,
         Err(SbError::Txn(TxnError::Deadlock)) => Outcome::Deadlock,
@@ -35,20 +36,31 @@ fn classify(result: Result<(), SbError>) -> Outcome {
     }
 }
 
+/// The driver's kind labels: [`TxnKind::ALL`]'s names, in order.
+pub fn kinds() -> Vec<&'static str> {
+    TxnKind::ALL.iter().map(|k| k.name()).collect()
+}
+
+/// Samples the next request from `workload`, with its index into
+/// [`kinds`].
+pub fn sample(workload: &SmallBankWorkload, rng: &mut Xoshiro256) -> (usize, TxnRequest) {
+    let req = workload.sample(rng);
+    let kind_idx = TxnKind::ALL
+        .iter()
+        .position(|k| *k == req.kind())
+        .expect("known kind");
+    (kind_idx, req)
+}
+
 impl Workload for SmallBankDriver {
     type Request = TxnRequest;
 
     fn kinds(&self) -> Vec<&'static str> {
-        TxnKind::ALL.iter().map(|k| k.name()).collect()
+        kinds()
     }
 
     fn sample(&self, rng: &mut Xoshiro256) -> (usize, TxnRequest) {
-        let req = self.workload.sample(rng);
-        let kind_idx = TxnKind::ALL
-            .iter()
-            .position(|k| *k == req.kind())
-            .expect("known kind");
-        (kind_idx, req)
+        sample(&self.workload, rng)
     }
 
     fn execute(&self, req: &TxnRequest, _attempt: u32) -> Outcome {

@@ -11,9 +11,9 @@
 //! [`Strategy`] enumerates the nine program variants measured in the
 //! paper (plain SI, the WT/BW single-edge fixes by materialization and
 //! both promotions, and the MaterializeALL/PromoteALL sledgehammers);
-//! [`SmallBank`] executes the procedures against a
-//! [`sicost_engine::Database`] with the chosen strategy's extra
-//! statements; [`sdg_spec`] declares the same programs for
+//! [`procs`] writes each procedure once, with the chosen strategy's
+//! extra statements, over a [`procs::Session`]; [`SmallBank`] runs them
+//! against a [`sicost_engine::Database`]; [`sdg_spec`] declares the same programs for
 //! [`sicost_core`]'s static analysis so the tests can *prove* each
 //! strategy safe (or prove Base SI unsafe) and regenerate Figures 1–3
 //! and Table I; [`anomaly`] scripts the concrete non-serializable

@@ -1,12 +1,45 @@
 //! The five SmallBank transaction programs (§III-B), with the strategy
 //! modifications woven in exactly where the paper's Table I puts them.
+//!
+//! Each program is written once, generic over a [`Session`]: the three
+//! statements the programs issue. The engine's [`Transaction`] is one
+//! session (the in-process [`SmallBank`]); the wire client's transaction
+//! in `sicost-server` is the other.
 
 use crate::schema::{build_database, SmallBankConfig, Tables};
 use crate::strategy::{Mods, Strategy};
-use sicost_common::Money;
+use crate::workload::TxnRequest;
+use sicost_common::{Money, TableId};
 use sicost_engine::{Database, EngineConfig, HistoryObserver, Transaction, TxnError};
 use sicost_storage::{Row, Value};
 use std::sync::Arc;
+
+/// The statements a SmallBank program issues inside one open
+/// transaction. Opening and ending the transaction is the caller's job.
+pub trait Session {
+    /// `SELECT * FROM table WHERE pk = :key`.
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError>;
+
+    /// `SELECT * FROM table WHERE pk = :key FOR UPDATE`.
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError>;
+
+    /// `UPDATE table SET … WHERE pk = :key`, replacing the row image.
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError>;
+}
+
+impl Session for Transaction<'_> {
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        Transaction::read(self, table, key)
+    }
+
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        Transaction::read_for_update(self, table, key)
+    }
+
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError> {
+        Transaction::update(self, table, key, row)
+    }
+}
 
 /// Outcome domain of the procedures: either the engine aborted us
 /// (serialization failure / deadlock) or the application rolled back.
@@ -80,12 +113,7 @@ impl SmallBank {
         observer: Option<Arc<dyn HistoryObserver>>,
     ) -> Self {
         let (db, tables) = build_database(config, engine, observer);
-        Self {
-            db,
-            tables,
-            strategy,
-            mods: strategy.mods(),
-        }
+        Self::adopt(db, tables, strategy)
     }
 
     /// Wraps an existing database (e.g. one rebuilt by crash recovery
@@ -119,165 +147,56 @@ impl SmallBank {
         crate::schema::total_balance(&self.db, &self.tables)
     }
 
-    // ----- shared fragments -------------------------------------------------
-
-    /// `SELECT CustomerId FROM Account WHERE Name = :n`
-    fn lookup_cid(&self, tx: &mut Transaction<'_>, name: &str) -> Result<Option<i64>, TxnError> {
-        Ok(tx
-            .read(self.tables.account, &Value::str(name))?
-            .map(|row| row.int(1)))
-    }
-
-    fn read_balance(
+    /// Runs `program` in a fresh transaction: commits on `Ok`, rolls
+    /// back on `Err`.
+    fn transact<R>(
         &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-        for_update: bool,
-    ) -> Result<Money, TxnError> {
-        let row = if for_update {
-            tx.read_for_update(table, &Value::int(cid))?
-        } else {
-            tx.read(table, &Value::int(cid))?
-        };
-        // Population guarantees a row per customer; a missing row would be
-        // an engine bug, but fail soft as zero like the SQL would (NULL sum).
-        Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
+        program: impl FnOnce(&mut Transaction<'_>) -> Result<R, SbError>,
+    ) -> Result<R, SbError> {
+        let mut tx = self.db.begin();
+        match program(&mut tx) {
+            Ok(r) => {
+                tx.commit()?;
+                Ok(r)
+            }
+            Err(e) => {
+                tx.rollback();
+                Err(e)
+            }
+        }
     }
 
-    fn write_balance(
-        &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-        balance: Money,
-    ) -> Result<(), TxnError> {
-        tx.update(
-            table,
-            &Value::int(cid),
-            Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
-        )
+    /// Runs one sampled request with this bank's strategy.
+    pub fn execute(&self, req: &TxnRequest) -> Result<(), SbError> {
+        precheck(req)?;
+        self.transact(|tx| execute(tx, &self.tables, &self.mods, req))
     }
 
-    /// The identity update of promotion: `UPDATE t SET Balance = Balance
-    /// WHERE CustomerId = :cid`.
-    fn identity_update(
-        &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-    ) -> Result<(), TxnError> {
-        let current = self.read_balance(tx, table, cid, false)?;
-        self.write_balance(tx, table, cid, current)
-    }
-
-    /// The materialization statement: `UPDATE Conflict SET Value = Value+1
-    /// WHERE Id = :cid`.
-    fn bump_conflict(&self, tx: &mut Transaction<'_>, cid: i64) -> Result<(), TxnError> {
-        let key = Value::int(cid);
-        let row = tx.read(self.tables.conflict, &key)?;
-        let v = row.map(|r| r.int(1)).unwrap_or(0);
-        tx.update(
-            self.tables.conflict,
-            &key,
-            Row::new(vec![key.clone(), Value::int(v + 1)]),
-        )
-    }
-
-    // ----- the five programs ------------------------------------------------
-
-    /// `Balance(N)` — total of savings and checking (§III-B). Read-only in
-    /// the base coding; the BW/ALL strategies add writes here.
+    /// `Balance(N)`; see [`balance`].
     pub fn balance(&self, name: &str) -> Result<Money, SbError> {
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(&mut tx, self.tables.saving, cid, false)?;
-        let chk = self.read_balance(
-            &mut tx,
-            self.tables.checking,
-            cid,
-            self.mods.bal_sfu_checking,
-        )?;
-        if self.mods.bal_ident_saving {
-            self.identity_update(&mut tx, self.tables.saving, cid)?;
-        }
-        if self.mods.bal_ident_checking {
-            self.identity_update(&mut tx, self.tables.checking, cid)?;
-        }
-        if self.mods.bal_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(sav + chk)
+        self.transact(|tx| balance(tx, &self.tables, &self.mods, name))
     }
 
-    /// `DepositChecking(N, V)` (§III-B): rolls back on negative `V` or
-    /// unknown name.
+    /// `DepositChecking(N, V)`; see [`deposit_checking`]. A negative `V`
+    /// is rejected before any transaction opens.
     pub fn deposit_checking(&self, name: &str, v: Money) -> Result<(), SbError> {
-        if v.is_negative() {
-            return Err(SbError::InvalidAmount);
-        }
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let chk = self.read_balance(&mut tx, self.tables.checking, cid, false)?;
-        self.write_balance(&mut tx, self.tables.checking, cid, chk + v)?;
-        if self.mods.dc_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(())
+        check_deposit(v)?;
+        self.transact(|tx| deposit_checking(tx, &self.tables, &self.mods, name, v))
     }
 
-    /// `TransactSaving(N, V)` (§III-B): deposit or withdrawal on savings;
-    /// rolls back if the result would be negative or the name is unknown.
+    /// `TransactSaving(N, V)`; see [`transact_saving`].
     pub fn transact_saving(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(&mut tx, self.tables.saving, cid, false)?;
-        let new = sav + v;
-        if new.is_negative() {
-            tx.rollback();
-            return Err(SbError::InsufficientFunds);
-        }
-        self.write_balance(&mut tx, self.tables.saving, cid, new)?;
-        if self.mods.ts_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(())
+        self.transact(|tx| transact_saving(tx, &self.tables, &self.mods, name, v))
     }
 
-    /// `Amalgamate(N1, N2)` (§III-B): moves all funds of `n1` to `n2`'s
-    /// checking account.
+    /// `Amalgamate(N1, N2)`; see [`amalgamate`].
     pub fn amalgamate(&self, n1: &str, n2: &str) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        let (Some(cid1), Some(cid2)) =
-            (self.lookup_cid(&mut tx, n1)?, self.lookup_cid(&mut tx, n2)?)
-        else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav1 = self.read_balance(&mut tx, self.tables.saving, cid1, false)?;
-        let chk1 = self.read_balance(&mut tx, self.tables.checking, cid1, false)?;
-        let chk2 = self.read_balance(&mut tx, self.tables.checking, cid2, false)?;
-        self.write_balance(&mut tx, self.tables.saving, cid1, Money::ZERO)?;
-        self.write_balance(&mut tx, self.tables.checking, cid1, Money::ZERO)?;
-        self.write_balance(&mut tx, self.tables.checking, cid2, chk2 + sav1 + chk1)?;
-        if self.mods.amg_conflict {
-            self.bump_conflict(&mut tx, cid1)?;
-            self.bump_conflict(&mut tx, cid2)?;
-        }
-        tx.commit()?;
-        Ok(())
+        self.transact(|tx| amalgamate(tx, &self.tables, &self.mods, n1, n2))
+    }
+
+    /// `WriteCheck(N, V)`; see [`write_check`].
+    pub fn write_check(&self, name: &str, v: Money) -> Result<(), SbError> {
+        self.transact(|tx| write_check(tx, &self.tables, &self.mods, name, v))
     }
 
     /// `WriteCheck` run with §II-D's third approach: the *pivot*
@@ -293,54 +212,225 @@ impl SmallBank {
     /// [`sicost_engine::EngineConfig::table_intent_locks`] so that other
     /// writers conflict with the table lock.
     pub fn write_check_with_table_lock(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        tx.lock_table(self.tables.saving, true)?;
-        // PostgreSQL pattern: LOCK TABLE as the first statement means the
-        // snapshot is established only after the lock is granted — which
-        // is exactly what makes the pivot's reads 2PL-stable.
-        tx.refresh_snapshot()?;
-        self.write_check_body(&mut tx, name, v)?;
-        tx.commit()?;
-        Ok(())
+        self.transact(|tx| {
+            tx.lock_table(self.tables.saving, true)?;
+            // PostgreSQL pattern: LOCK TABLE as the first statement means
+            // the snapshot is established only after the lock is granted —
+            // which is exactly what makes the pivot's reads 2PL-stable.
+            tx.refresh_snapshot()?;
+            write_check(tx, &self.tables, &self.mods, name, v)
+        })
     }
+}
 
-    /// `WriteCheck(N, V)` (§III-B / Program 1): charges `V` against
-    /// checking, with a $1 overdraft penalty when savings+checking can't
-    /// cover it.
-    pub fn write_check(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        self.write_check_body(&mut tx, name, v)?;
-        tx.commit()?;
-        Ok(())
-    }
+// ----- shared fragments -----------------------------------------------------
 
-    fn write_check_body(
-        &self,
-        tx: &mut Transaction<'_>,
-        name: &str,
-        v: Money,
-    ) -> Result<(), SbError> {
-        let Some(cid) = self.lookup_cid(tx, name)? else {
-            // The caller's transaction handle rolls back on drop; surface
-            // the application error.
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(tx, self.tables.saving, cid, self.mods.wc_sfu_saving)?;
-        let chk = self.read_balance(tx, self.tables.checking, cid, false)?;
-        let charge = if (sav + chk) < v {
-            v + Money::dollars(1)
-        } else {
-            v
-        };
-        self.write_balance(tx, self.tables.checking, cid, chk - charge)?;
-        if self.mods.wc_ident_saving {
-            self.write_balance(tx, self.tables.saving, cid, sav)?;
-        }
-        if self.mods.wc_conflict {
-            self.bump_conflict(tx, cid)?;
-        }
-        Ok(())
+/// `SELECT CustomerId FROM Account WHERE Name = :n`
+fn lookup_cid<S: Session>(s: &mut S, t: &Tables, name: &str) -> Result<Option<i64>, TxnError> {
+    Ok(s.read(t.account, &Value::str(name))?.map(|row| row.int(1)))
+}
+
+fn read_balance<S: Session>(
+    s: &mut S,
+    table: TableId,
+    cid: i64,
+    for_update: bool,
+) -> Result<Money, TxnError> {
+    let row = if for_update {
+        s.read_for_update(table, &Value::int(cid))?
+    } else {
+        s.read(table, &Value::int(cid))?
+    };
+    // Population guarantees a row per customer; a missing row would be
+    // an engine bug, but fail soft as zero like the SQL would (NULL sum).
+    Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
+}
+
+fn write_balance<S: Session>(
+    s: &mut S,
+    table: TableId,
+    cid: i64,
+    balance: Money,
+) -> Result<(), TxnError> {
+    s.update(
+        table,
+        &Value::int(cid),
+        Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
+    )
+}
+
+/// The identity update of promotion: `UPDATE t SET Balance = Balance
+/// WHERE CustomerId = :cid`.
+fn identity_update<S: Session>(s: &mut S, table: TableId, cid: i64) -> Result<(), TxnError> {
+    let current = read_balance(s, table, cid, false)?;
+    write_balance(s, table, cid, current)
+}
+
+/// The materialization statement: `UPDATE Conflict SET Value = Value+1
+/// WHERE Id = :cid`.
+fn bump_conflict<S: Session>(s: &mut S, t: &Tables, cid: i64) -> Result<(), TxnError> {
+    let key = Value::int(cid);
+    let v = s.read(t.conflict, &key)?.map(|r| r.int(1)).unwrap_or(0);
+    s.update(
+        t.conflict,
+        &key,
+        Row::new(vec![key.clone(), Value::int(v + 1)]),
+    )
+}
+
+// ----- the five programs ------------------------------------------------------
+
+/// `DepositChecking`'s argument rule. Callers check it before opening
+/// the transaction, so a rejected deposit allocates no transaction.
+fn check_deposit(v: Money) -> Result<(), SbError> {
+    if v.is_negative() {
+        return Err(SbError::InvalidAmount);
     }
+    Ok(())
+}
+
+/// The argument checks a request must pass before its transaction opens
+/// (today only `DepositChecking`'s non-negative amount).
+pub fn precheck(req: &TxnRequest) -> Result<(), SbError> {
+    match req {
+        TxnRequest::DepositChecking { v, .. } => check_deposit(*v),
+        _ => Ok(()),
+    }
+}
+
+/// Runs one request's program body in the open session `s`. The caller
+/// runs [`precheck`] first and ends the transaction after.
+pub fn execute<S: Session>(
+    s: &mut S,
+    t: &Tables,
+    m: &Mods,
+    req: &TxnRequest,
+) -> Result<(), SbError> {
+    match req {
+        TxnRequest::Balance { name } => balance(s, t, m, name).map(|_| ()),
+        TxnRequest::DepositChecking { name, v } => deposit_checking(s, t, m, name, *v),
+        TxnRequest::TransactSaving { name, v } => transact_saving(s, t, m, name, *v),
+        TxnRequest::Amalgamate { n1, n2 } => amalgamate(s, t, m, n1, n2),
+        TxnRequest::WriteCheck { name, v } => write_check(s, t, m, name, *v),
+    }
+}
+
+/// `Balance(N)` — total of savings and checking (§III-B). Read-only in
+/// the base coding; the BW/ALL strategies add writes here.
+pub fn balance<S: Session>(s: &mut S, t: &Tables, m: &Mods, name: &str) -> Result<Money, SbError> {
+    let Some(cid) = lookup_cid(s, t, name)? else {
+        return Err(SbError::AccountMissing);
+    };
+    let sav = read_balance(s, t.saving, cid, false)?;
+    let chk = read_balance(s, t.checking, cid, m.bal_sfu_checking)?;
+    if m.bal_ident_saving {
+        identity_update(s, t.saving, cid)?;
+    }
+    if m.bal_ident_checking {
+        identity_update(s, t.checking, cid)?;
+    }
+    if m.bal_conflict {
+        bump_conflict(s, t, cid)?;
+    }
+    Ok(sav + chk)
+}
+
+/// `DepositChecking(N, V)` (§III-B): rolls back on an unknown name. The
+/// negative-`V` rollback rule is [`precheck`]'s.
+pub fn deposit_checking<S: Session>(
+    s: &mut S,
+    t: &Tables,
+    m: &Mods,
+    name: &str,
+    v: Money,
+) -> Result<(), SbError> {
+    let Some(cid) = lookup_cid(s, t, name)? else {
+        return Err(SbError::AccountMissing);
+    };
+    let chk = read_balance(s, t.checking, cid, false)?;
+    write_balance(s, t.checking, cid, chk + v)?;
+    if m.dc_conflict {
+        bump_conflict(s, t, cid)?;
+    }
+    Ok(())
+}
+
+/// `TransactSaving(N, V)` (§III-B): deposit or withdrawal on savings;
+/// rolls back if the result would be negative or the name is unknown.
+pub fn transact_saving<S: Session>(
+    s: &mut S,
+    t: &Tables,
+    m: &Mods,
+    name: &str,
+    v: Money,
+) -> Result<(), SbError> {
+    let Some(cid) = lookup_cid(s, t, name)? else {
+        return Err(SbError::AccountMissing);
+    };
+    let new = read_balance(s, t.saving, cid, false)? + v;
+    if new.is_negative() {
+        return Err(SbError::InsufficientFunds);
+    }
+    write_balance(s, t.saving, cid, new)?;
+    if m.ts_conflict {
+        bump_conflict(s, t, cid)?;
+    }
+    Ok(())
+}
+
+/// `Amalgamate(N1, N2)` (§III-B): moves all funds of `n1` to `n2`'s
+/// checking account.
+pub fn amalgamate<S: Session>(
+    s: &mut S,
+    t: &Tables,
+    m: &Mods,
+    n1: &str,
+    n2: &str,
+) -> Result<(), SbError> {
+    let (Some(cid1), Some(cid2)) = (lookup_cid(s, t, n1)?, lookup_cid(s, t, n2)?) else {
+        return Err(SbError::AccountMissing);
+    };
+    let sav1 = read_balance(s, t.saving, cid1, false)?;
+    let chk1 = read_balance(s, t.checking, cid1, false)?;
+    let chk2 = read_balance(s, t.checking, cid2, false)?;
+    write_balance(s, t.saving, cid1, Money::ZERO)?;
+    write_balance(s, t.checking, cid1, Money::ZERO)?;
+    write_balance(s, t.checking, cid2, chk2 + sav1 + chk1)?;
+    if m.amg_conflict {
+        bump_conflict(s, t, cid1)?;
+        bump_conflict(s, t, cid2)?;
+    }
+    Ok(())
+}
+
+/// `WriteCheck(N, V)` (§III-B / Program 1): charges `V` against
+/// checking, with a $1 overdraft penalty when savings+checking can't
+/// cover it.
+pub fn write_check<S: Session>(
+    s: &mut S,
+    t: &Tables,
+    m: &Mods,
+    name: &str,
+    v: Money,
+) -> Result<(), SbError> {
+    let Some(cid) = lookup_cid(s, t, name)? else {
+        return Err(SbError::AccountMissing);
+    };
+    let sav = read_balance(s, t.saving, cid, m.wc_sfu_saving)?;
+    let chk = read_balance(s, t.checking, cid, false)?;
+    let charge = if (sav + chk) < v {
+        v + Money::dollars(1)
+    } else {
+        v
+    };
+    write_balance(s, t.checking, cid, chk - charge)?;
+    if m.wc_ident_saving {
+        write_balance(s, t.saving, cid, sav)?;
+    }
+    if m.wc_conflict {
+        bump_conflict(s, t, cid)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -517,6 +607,144 @@ mod tests {
             b.write_check_with_table_lock("ghost", Money::dollars(1)),
             Err(SbError::AccountMissing)
         );
+    }
+
+    /// A recording fake [`Session`]: rows live in a map, and every
+    /// statement is logged as `<op><table>`, with op `r` (read), `f`
+    /// (read for update) or `u` (update), and table `A`ccount, `S`aving,
+    /// `C`hecking or con`F`lict.
+    struct Recorder {
+        rows: std::collections::HashMap<(TableId, Value), Row>,
+        log: Vec<String>,
+    }
+
+    const FAKE_TABLES: Tables = Tables {
+        account: TableId(0),
+        saving: TableId(1),
+        checking: TableId(2),
+        conflict: TableId(3),
+    };
+
+    impl Recorder {
+        /// Two customers, `a` (id 1) and `b` (id 2), $10 in each account.
+        fn new() -> Self {
+            let t = FAKE_TABLES;
+            let mut rows = std::collections::HashMap::new();
+            for (name, cid) in [("a", 1), ("b", 2)] {
+                let account = Row::new(vec![Value::str(name), Value::int(cid)]);
+                rows.insert((t.account, Value::str(name)), account);
+                for table in [t.saving, t.checking] {
+                    let balance = Row::new(vec![Value::int(cid), Value::int(1_000)]);
+                    rows.insert((table, Value::int(cid)), balance);
+                }
+            }
+            Self {
+                rows,
+                log: Vec::new(),
+            }
+        }
+
+        fn record(&mut self, op: char, table: TableId) {
+            let t = ['A', 'S', 'C', 'F'][table.0 as usize];
+            self.log.push(format!("{op}{t}"));
+        }
+    }
+
+    impl Session for Recorder {
+        fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+            self.record('r', table);
+            Ok(self.rows.get(&(table, key.clone())).cloned())
+        }
+
+        fn read_for_update(
+            &mut self,
+            table: TableId,
+            key: &Value,
+        ) -> Result<Option<Row>, TxnError> {
+            self.record('f', table);
+            Ok(self.rows.get(&(table, key.clone())).cloned())
+        }
+
+        fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError> {
+            self.record('u', table);
+            self.rows.insert((table, key.clone()), row);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_strategy_issues_the_statements_of_table_i() {
+        let requests = [
+            TxnRequest::Balance { name: "a".into() },
+            TxnRequest::DepositChecking {
+                name: "a".into(),
+                v: Money::dollars(1),
+            },
+            TxnRequest::TransactSaving {
+                name: "a".into(),
+                v: Money::dollars(1),
+            },
+            TxnRequest::Amalgamate {
+                n1: "a".into(),
+                n2: "b".into(),
+            },
+            TxnRequest::WriteCheck {
+                name: "a".into(),
+                v: Money::dollars(1),
+            },
+        ];
+        // Per strategy, the statements of Balance | DepositChecking |
+        // TransactSaving | Amalgamate | WriteCheck.
+        let base = "rA rS rC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC";
+        let expected = [
+            (Strategy::BaseSI, base),
+            (
+                Strategy::MaterializeWT,
+                "rA rS rC | rA rC uC | rA rS uS rF uF | rA rA rS rC rC uS uC uC | rA rS rC uC rF uF",
+            ),
+            (
+                Strategy::PromoteWTUpd,
+                "rA rS rC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC uS",
+            ),
+            (
+                Strategy::PromoteWTSfu,
+                "rA rS rC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA fS rC uC",
+            ),
+            (
+                Strategy::MaterializeBW,
+                "rA rS rC rF uF | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC rF uF",
+            ),
+            (
+                Strategy::PromoteBWUpd,
+                "rA rS rC rC uC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC",
+            ),
+            (
+                Strategy::PromoteBWSfu,
+                "rA rS fC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC",
+            ),
+            (
+                Strategy::MaterializeALL,
+                "rA rS rC rF uF | rA rC uC rF uF | rA rS uS rF uF \
+                 | rA rA rS rC rC uS uC uC rF uF rF uF | rA rS rC uC rF uF",
+            ),
+            (
+                Strategy::PromoteALL,
+                "rA rS rC rS uS rC uC | rA rC uC | rA rS uS | rA rA rS rC rC uS uC uC | rA rS rC uC uS",
+            ),
+        ];
+        assert_eq!(expected.len(), Strategy::all().len());
+        for (strategy, want) in expected {
+            let got: Vec<String> = requests
+                .iter()
+                .map(|req| {
+                    let mut fake = Recorder::new();
+                    execute(&mut fake, &FAKE_TABLES, &strategy.mods(), req)
+                        .unwrap_or_else(|e| panic!("{strategy} {:?}: {e}", req.kind()));
+                    fake.log.join(" ")
+                })
+                .collect();
+            assert_eq!(got.join(" | "), want, "{strategy}");
+        }
     }
 
     #[test]

@@ -252,17 +252,10 @@ impl SmallBankWorkload {
     /// Executes one sampled request against `bank`.
     pub fn execute(&self, bank: &SmallBank, req: &TxnRequest) -> Result<(), SbError> {
         match req {
-            TxnRequest::Balance { name } => bank.balance(name).map(|_| ()),
-            TxnRequest::DepositChecking { name, v } => bank.deposit_checking(name, *v),
-            TxnRequest::TransactSaving { name, v } => bank.transact_saving(name, *v),
-            TxnRequest::Amalgamate { n1, n2 } => bank.amalgamate(n1, n2),
-            TxnRequest::WriteCheck { name, v } => {
-                if self.wc_table_lock {
-                    bank.write_check_with_table_lock(name, *v)
-                } else {
-                    bank.write_check(name, *v)
-                }
+            TxnRequest::WriteCheck { name, v } if self.wc_table_lock => {
+                bank.write_check_with_table_lock(name, *v)
             }
+            _ => bank.execute(req),
         }
     }
 }

@@ -106,10 +106,15 @@ fn main() {
         }
     }
 
-    // Or skip all of the above and let the advisor do the whole loop:
-    // analyse → choose edges → choose techniques → apply → re-verify.
-    println!("\n--- one-call advisor ---");
-    let advice = sicost::core::advise(&mix, SfuTreatment::AsLockOnly, EdgeCost::default());
-    print!("{}", advice.report());
-    assert!(advice.verified.is_si_serializable());
+    // Or skip all of the above and let the robustness checker do the whole
+    // loop: analyse → choose edges → choose techniques → apply → re-verify.
+    println!("\n--- one-call robustness check ---");
+    let report = sicost::core::check(
+        "roster",
+        &mix,
+        SfuTreatment::AsLockOnly,
+        EdgeCost::default(),
+    );
+    print!("{}", report.render());
+    assert_eq!(report.residual_structures, 0);
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repository check: format, lint, build, test — what CI would run.
+# Repository check: format, lint, docs, build, test, smoke benches — what CI runs.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,35 +24,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (workspace)"
+echo "==> cargo test -q (workspace: unit, integration, crash-recovery torture, sim smoke, server smoke, robustness cross-validation)"
 cargo test --workspace -q
 
-echo "==> crash-recovery torture harness (seeded crash schedules)"
-cargo test -q --test recovery_torture
+echo "==> smoke bench suite (every harness; writes bench_results/*.json, traces under target/)"
+SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench
 
-echo "==> sim-smoke: DST torture + model checker (SICOST_SIM_SCHEDULES widens the sweep)"
-cargo test -q --test sim_torture
-cargo test -q -p sicost-sim
-cargo test -q -p sicost-driver --test run_equivalence
-
-echo "==> server smoke: sim-net fault sweep + client/server equivalence (fixed seeds)"
-cargo test -q -p sicost-server --test fault_sweep
-cargo test -q -p sicost-server --test client_server
-
-echo "==> robustness smoke: corpus x strategy cross-validation + A13 matrix (trace in target/robustness-trace/)"
-cargo test -q -p sicost-workloads
-SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench --bench robustness
-
-echo "==> recovery smoke bench (writes bench_results/recovery.json)"
-SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench --bench recovery
-
-echo "==> open-loop smoke bench (writes bench_results/openloop.json)"
-SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench --bench openloop
-
-echo "==> vacuum long-run smoke bench (GC-on vs GC-off; writes bench_results/vacuum.json + target/vacuum-trace/)"
-SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench --bench vacuum
-
-echo "==> paged-storage smoke bench (pool pressure sweep; writes bench_results/paged.json + target/paged-trace/)"
-SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench --bench paged
+echo "==> validate and fold bench reports"
+scripts/bench_summary.sh
 
 echo "==> all checks passed"
