@@ -1,65 +1,8 @@
 //! **Ablation A2** — the classical baseline: strict two-phase locking
 //! versus SI (the paper's introduction cites folklore of SI reaching up
-//! to 3× 2PL's throughput because readers never block).
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{print_figure, run_figure, BenchMode, BenchReport, FigureSpec, StrategyLine};
-use sicost_driver::Series;
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! to 3× 2PL's throughput because readers never block), in a uniform and
+//! a contended regime. The row lives in `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let expectation = "(No paper counterpart — §I folklore check.) Expected: similar \
-         at low MPL; under contention S2PL falls behind because \
-         readers block behind writers and deadlocks appear, while SI \
-         readers never block.";
-    let mut report = BenchReport::new(
-        "ablation_2pl",
-        "Ablation A2 — S2PL vs SI, uniform and contended regimes",
-        mode,
-    );
-    report.expectation = expectation.into();
-    for (id, title, params) in [
-        (
-            "Ablation A2 (uniform)",
-            "S2PL vs SI, uniform mix, hotspot 1000",
-            WorkloadParams::paper_default(),
-        ),
-        (
-            "Ablation A2 (contended)",
-            "S2PL vs SI, 60% Balance, hotspot 10",
-            WorkloadParams::paper_high_contention(),
-        ),
-    ] {
-        let spec = FigureSpec {
-            id: Box::leak(id.to_string().into_boxed_str()),
-            title: Box::leak(title.to_string().into_boxed_str()),
-            params,
-            lines: vec![
-                StrategyLine {
-                    label: "SI".into(),
-                    strategy: Strategy::BaseSI,
-                    engine: platforms::postgres(),
-                },
-                StrategyLine {
-                    label: "S2PL".into(),
-                    strategy: Strategy::BaseSI,
-                    engine: platforms::postgres_s2pl(),
-                },
-            ],
-        };
-        let series = run_figure(&spec, mode);
-        print_figure(&spec, &series, expectation);
-        // Prefix the regime so both sweeps share one report.
-        let tagged: Vec<Series> = series
-            .iter()
-            .map(|s| {
-                let mut t = s.clone();
-                t.label = format!("{id}: {}", s.label);
-                t
-            })
-            .collect();
-        report.push_series("MPL", &tagged);
-    }
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("ablation_2pl");
 }

@@ -65,14 +65,6 @@ fn main() {
         ),
     ];
 
-    println!("\nAblation A7 — anomalies per 1 000 certified transactions");
-    println!("{:-<84}", "");
-    println!(
-        "{:>16} | {:>8} {:>10} {:>10} {:>10} {:>8} {:>10}",
-        "strategy", "windows", "txns", "write-skew", "dangerous", "other", "per-1k"
-    );
-    println!("{:-<84}", "");
-
     let mut report = BenchReport::new(
         "ablation_certify",
         "Ablation A7 — measured anomaly rates under online MVSG certification",
@@ -93,16 +85,6 @@ fn main() {
             base_seed: 0xA7,
         };
         let (cert, latency, _) = certify_run(&opts);
-        println!(
-            "{:>16} | {:>8} {:>10} {:>10} {:>10} {:>8} {:>10.3}",
-            cert.label,
-            cert.windows_certified,
-            cert.txns_certified,
-            cert.write_skew,
-            cert.dangerous_structure,
-            cert.other_cycles,
-            cert.anomalies_per_1k()
-        );
         rows.push(vec![
             cert.label.clone(),
             cert.windows_certified.to_string(),
@@ -112,18 +94,11 @@ fn main() {
         report.latency.extend(latency);
         report.certification.push(cert);
     }
-    println!("{:-<84}", "");
-    for c in &report.certification {
-        for w in &c.witnesses {
-            println!("  witness [{}]: {w}", c.label);
-        }
-    }
     let expectation = "Plain SI scores a non-zero anomaly rate (the Bal-WC-TS \
          dangerous structure, often window-compressed to a write-skew \
          witness); SSI and every option score exactly zero — the sampler \
          never false-positives, so a zero here is evidence of safety and \
          a non-zero is proof of a non-serializable execution.";
-    println!("Paper expectation: {expectation}");
     report.expectation = expectation.into();
     report.push_table(
         "anomaly rates",
@@ -139,5 +114,5 @@ fn main() {
         "functional engine, {} customers, hotspot {} @ {:.2}, uniform mix, MPL 8, {} bursts",
         params.customers, params.hotspot, params.p_hot, bursts
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -19,13 +19,6 @@ fn main() {
     let mode = BenchMode::from_env();
     let params = WorkloadParams::paper_default().scaled(mode.customers(), mode.customers() / 18);
     let mpl = 10;
-    println!("\nAblation A3 — group-commit window sweep (SI, MPL {mpl})");
-    println!("{:-<72}", "");
-    println!(
-        "{:>12} | {:>10} | {:>12} | {:>12} | {:>10}",
-        "delay (µs)", "TPS", "syncs/s", "batch avg", "batch max"
-    );
-    println!("{:-<72}", "");
     let mut rows = Vec::new();
     for delay_us in [0u64, 250, 500, 1000, 2000, 4000] {
         let mut engine = EngineConfig::postgres_like();
@@ -50,14 +43,6 @@ fn main() {
         } else {
             0.0
         };
-        println!(
-            "{:>12} | {:>10.0} | {:>12.0} | {:>12.2} | {:>10}",
-            delay_us,
-            metrics.tps(),
-            dev.syncs as f64 / secs.max(1e-9),
-            batch_avg,
-            wal.max_batch
-        );
         rows.push(vec![
             delay_us.to_string(),
             format!("{:.0}", metrics.tps()),
@@ -66,12 +51,10 @@ fn main() {
             wal.max_batch.to_string(),
         ]);
     }
-    println!("{:-<72}", "");
     let expectation = "Larger windows batch more commits per sync; \
          throughput first improves (fewer 4ms syncs) then flattens as the \
          added commit latency offsets the batching gain — the regime in \
          which the paper ran (commit_delay enabled).";
-    println!("Expectation: {expectation}");
     let mut report = BenchReport::new(
         "ablation_groupcommit",
         format!("Ablation A3 — group-commit window sweep (SI, MPL {mpl})"),
@@ -86,5 +69,5 @@ fn main() {
             .collect(),
         rows,
     );
-    println!("report: {}", report.write().display());
+    report.emit();
 }

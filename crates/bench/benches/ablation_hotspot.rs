@@ -2,9 +2,9 @@
 //! (hotspot 1000) and the Figure 7 regime (hotspot 10): where does the
 //! gap between well-chosen and blunt strategies open up?
 
-use sicost_bench::figures::platforms;
 use sicost_bench::{BenchMode, BenchReport};
 use sicost_driver::{repeat_summary, RetryPolicy, RunConfig, Series};
+use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
 };
@@ -37,7 +37,11 @@ fn main() {
                 |r| {
                     let mut cfg = SmallBankConfig::paper();
                     cfg.seed ^= r;
-                    let bank = Arc::new(SmallBank::new(&cfg, platforms::postgres(), strategy));
+                    let bank = Arc::new(SmallBank::new(
+                        &cfg,
+                        EngineConfig::postgres_like(),
+                        strategy,
+                    ));
                     SmallBankDriver::new(bank, SmallBankWorkload::new(params))
                 },
                 RunConfig::new(mpl)
@@ -56,16 +60,12 @@ fn main() {
         }
         all.push(series);
     }
-    println!("\nAblation A4 — hotspot-size sweep (60% Balance mix, MPL {mpl})");
-    println!("{}", sicost_driver::render_table("hotspot", &all));
-    println!("--- CSV ---\n{}", sicost_driver::csv_table("hotspot", &all));
     let expectation = "At hotspot 1000+ all three run close together (the \
          Figure 4/5 regime); as the hotspot shrinks toward 10 the \
          MaterializeALL line collapses (every pair of transactions on a \
          hot customer now conflicts through the Conflict table) while \
          PromoteWT-upd stays near SI — interpolating between Figures 5 \
          and 7.";
-    println!("Expectation: {expectation}");
     let mut report = BenchReport::new(
         "ablation_hotspot",
         format!("Ablation A4 — hotspot-size sweep (60% Balance mix, MPL {mpl})"),
@@ -73,5 +73,5 @@ fn main() {
     );
     report.expectation = expectation.into();
     report.push_series("hotspot", &all);
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -64,23 +64,9 @@ fn main() {
         all.push(series);
     }
 
-    println!(
-        "\nAblation A6 — serialization-point sharding sweep \
-         (BaseSI, uniform mix, {cores} hardware threads)"
-    );
-    println!("{}", sicost_driver::render_table("MPL", &all));
-    println!("--- CSV ---\n{}", sicost_driver::csv_table("MPL", &all));
-
     let top_mpl = *mpls.last().unwrap() as f64;
     let single = all.first().and_then(|s| s.at(top_mpl)).unwrap_or(0.0);
     let striped = all.last().and_then(|s| s.at(top_mpl)).unwrap_or(0.0);
-    println!(
-        "speedup at MPL {top_mpl:.0}: {:.2}x ({} vs {})",
-        striped / single.max(1e-9),
-        all.last().unwrap().label,
-        all.first().unwrap().label,
-    );
-
     let mut report = BenchReport::new(
         "ablation_sharding",
         "Ablation A6 — serialization-point sharding sweep (BaseSI, uniform mix)",
@@ -107,8 +93,6 @@ fn main() {
                 .with_retry(RetryPolicy::disabled()),
         );
         let breakdown = LockWaitReport(&driver.bank().db().metrics().lock_waits).render();
-        println!("\nlock-wait breakdown, shards={shards}, MPL {top_mpl:.0}:");
-        println!("{breakdown}");
         report.notes.push(format!(
             "lock-wait breakdown, shards={shards}, MPL {top_mpl:.0}:\n{breakdown}"
         ));
@@ -116,16 +100,17 @@ fn main() {
     report.expectation = "See the printed expectation: shards=1 flattens against the \
          global commit/install serialization points; striping dissolves the wait."
         .into();
-    println!("report: {}", report.write().display());
+    report.emit();
     println!(
-        "Expectation: at MPL 1 the stripe count is irrelevant (every lock \
-         is uncontended); as MPL grows the shards=1 line flattens against \
-         the global commit/install serialization points while striped \
-         engines keep scaling — the breakdown shows shards=1 concentrating \
-         its wait in commit.install/lock.entries, and striping dissolving \
-         it (>=1.5x at MPL >= 8 with >= 8 shards on a multicore host; on a \
-         single hardware thread the clients cannot physically overlap, so \
-         the curves coincide and only the wait breakdown distinguishes \
-         the layouts)."
+        "Expectation ({cores} hardware threads): at MPL 1 the stripe count \
+         is irrelevant (every lock is uncontended); as MPL grows the \
+         shards=1 line flattens against the global commit/install \
+         serialization points while striped engines keep scaling — the \
+         breakdown shows shards=1 concentrating its wait in \
+         commit.install/lock.entries, and striping dissolving it (>=1.5x \
+         at MPL >= 8 with >= 8 shards on a multicore host; on a single \
+         hardware thread the clients cannot physically overlap, so the \
+         curves coincide and only the wait breakdown distinguishes the \
+         layouts)."
     );
 }

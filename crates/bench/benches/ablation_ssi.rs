@@ -5,49 +5,8 @@
 //! burden; Cahill-style SSI (implemented in `sicost-engine`) is that
 //! mechanism. This harness runs *unmodified* SmallBank on the SSI engine
 //! against plain SI and the best/worst strategies on the PostgreSQL
-//! profile.
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{print_figure, run_figure, BenchMode, BenchReport, FigureSpec, StrategyLine};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! profile. The row lives in `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let spec = FigureSpec {
-        id: "Ablation A1",
-        title: "SSI engine vs program-modification strategies (PostgreSQL profile)",
-        params: WorkloadParams::paper_high_contention(),
-        lines: vec![
-            StrategyLine {
-                label: "SI (unsafe)".into(),
-                strategy: Strategy::BaseSI,
-                engine: platforms::postgres(),
-            },
-            StrategyLine {
-                label: "SSI engine".into(),
-                strategy: Strategy::BaseSI,
-                engine: platforms::postgres_ssi(),
-            },
-            StrategyLine {
-                label: "PromoteWT-upd".into(),
-                strategy: Strategy::PromoteWTUpd,
-                engine: platforms::postgres(),
-            },
-            StrategyLine {
-                label: "MaterializeALL".into(),
-                strategy: Strategy::MaterializeALL,
-                engine: platforms::postgres(),
-            },
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "(No paper counterpart — forward-looking ablation.) Expected: SSI \
-         tracks SI closely with a small abort overhead under contention, \
-         beating the blunt MaterializeALL while requiring no program \
-         changes; the well-chosen PromoteWT-upd remains competitive.";
-    print_figure(&spec, &series, expectation);
-    let mut report = BenchReport::new("ablation_ssi", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("ablation_ssi");
 }

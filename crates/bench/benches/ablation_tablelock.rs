@@ -8,7 +8,7 @@
 //! "very poor".
 
 use sicost_bench::{BenchMode, BenchReport};
-use sicost_driver::{render_table, repeat_summary, RetryPolicy, RunConfig, Series};
+use sicost_driver::{repeat_summary, RetryPolicy, RunConfig, Series};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -56,15 +56,11 @@ fn main() {
         }
         all.push(series);
     }
-    println!("\nAblation A5 — simulated 2PL on the pivot via table locks (§II-D)");
-    println!("{}", render_table("MPL", &all));
-    println!("--- CSV ---\n{}", sicost_driver::csv_table("mpl", &all));
     let expectation = "The LOCK TABLE variant serialises every WriteCheck \
          against every writer of Saving — throughput collapses as MPL \
          grows, while PromoteWT-upd (same guarantee via a single row \
          identity write) stays at SI's level. This is why the paper \
          dismisses the approach in one paragraph.";
-    println!("Expectation: {expectation}");
     let mut report = BenchReport::new(
         "ablation_tablelock",
         "Ablation A5 — simulated 2PL on the pivot via table locks (§II-D)",
@@ -72,5 +68,5 @@ fn main() {
     );
     report.expectation = expectation.into();
     report.push_series("MPL", &all);
-    println!("report: {}", report.write().display());
+    report.emit();
 }

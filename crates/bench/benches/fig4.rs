@@ -1,44 +1,8 @@
 //! **Figure 4** — costs for SI-serializability when eliminating ALL
 //! vulnerable edges (PostgreSQL profile): SI vs MaterializeALL vs
-//! PromoteALL, throughput over MPL.
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{print_figure, run_figure, BenchMode, BenchReport, FigureSpec, StrategyLine};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! PromoteALL, throughput over MPL. The row lives in
+//! `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let pg = platforms::postgres();
-    let spec = FigureSpec {
-        id: "Figure 4",
-        title: "Eliminating ALL vulnerable edges (PostgreSQL profile)",
-        params: WorkloadParams::paper_default(),
-        lines: vec![
-            StrategyLine {
-                label: "SI".into(),
-                strategy: Strategy::BaseSI,
-                engine: pg.clone(),
-            },
-            StrategyLine {
-                label: "MaterializeALL".into(),
-                strategy: Strategy::MaterializeALL,
-                engine: pg.clone(),
-            },
-            StrategyLine {
-                label: "PromoteALL".into(),
-                strategy: Strategy::PromoteALL,
-                engine: pg,
-            },
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "SI rises to a ~1150 TPS plateau; PromoteALL starts ~20% lower \
-         (Balance now writes, so every transaction pays a disk write) and \
-         converges to ~95% of SI; MaterializeALL peaks ~25% below SI \
-         (conflict-table contention between any pair sharing a customer).";
-    print_figure(&spec, &series, expectation);
-    let mut report = BenchReport::new("fig4", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("fig4");
 }

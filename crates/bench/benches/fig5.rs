@@ -1,47 +1,8 @@
 //! **Figure 5** — eliminating the BW and WT vulnerabilities
 //! (PostgreSQL profile): absolute TPS over MPL (panel a) and throughput
-//! relative to SI (panel b).
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{
-    certify_figure, print_certification, print_figure, run_figure, BenchMode, BenchReport,
-    FigureSpec, StrategyLine,
-};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! relative to SI (panel b), with every line certified. The row lives in
+//! `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let pg = platforms::postgres();
-    let line = |label: &str, strategy| StrategyLine {
-        label: label.into(),
-        strategy,
-        engine: pg.clone(),
-    };
-    let spec = FigureSpec {
-        id: "Figure 5",
-        title: "Eliminating the BW and WT vulnerabilities (PostgreSQL profile)",
-        params: WorkloadParams::paper_default(),
-        lines: vec![
-            line("SI", Strategy::BaseSI),
-            line("MaterializeBW", Strategy::MaterializeBW),
-            line("PromoteBW-upd", Strategy::PromoteBWUpd),
-            line("MaterializeWT", Strategy::MaterializeWT),
-            line("PromoteWT-upd", Strategy::PromoteWTUpd),
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "PromoteWT-upd indistinguishable from SI; MaterializeWT matches SI \
-         at low MPL then plateaus ~10% below; the BW variants lose ~20% at \
-         MPL 1 (Balance becomes an updater: 5/4 more disk-writing \
-         transactions) and recover toward SI at high MPL — BW costs are \
-         highest at LOW MPL, the reverse of WT.";
-    print_figure(&spec, &series, expectation);
-    let (certs, latency) = certify_figure("fig5", &spec, mode);
-    print_certification(&certs);
-    let mut report = BenchReport::new("fig5", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    report.certification = certs;
-    report.latency = latency;
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("fig5");
 }

@@ -2,13 +2,13 @@
 //! at MPL 20 (PostgreSQL profile), for SI and the four single-edge
 //! strategies.
 
-use sicost_bench::figures::{abort_profile, platforms};
-use sicost_bench::{BenchMode, BenchReport};
+use sicost_bench::{abort_profile, BenchMode, BenchReport};
+use sicost_engine::EngineConfig;
 use sicost_smallbank::{Strategy, WorkloadParams};
 
 fn main() {
     let mode = BenchMode::from_env();
-    let pg = platforms::postgres();
+    let pg = EngineConfig::postgres_like();
     let params = WorkloadParams::paper_default();
     let strategies = [
         Strategy::BaseSI,
@@ -17,20 +17,6 @@ fn main() {
         Strategy::MaterializeWT,
         Strategy::PromoteWTUpd,
     ];
-    println!("\nFigure 6 — serialization-failure abort rate per transaction type (MPL 20)");
-    println!("{:-<100}", "");
-    print!("{:<16}", "Strategy");
-    for kind in [
-        "Balance",
-        "WriteCheck",
-        "TransactSaving",
-        "Amalgamate",
-        "DepositChecking",
-    ] {
-        print!(" | {kind:>16}");
-    }
-    println!();
-    println!("{:-<100}", "");
     let kinds = [
         "Balance",
         "WriteCheck",
@@ -41,7 +27,6 @@ fn main() {
     let mut rows = Vec::new();
     for strategy in strategies {
         let profile = abort_profile(&pg, strategy, &params, mode, 20);
-        print!("{:<16}", strategy.name());
         let get = |name: &str| {
             profile
                 .iter()
@@ -51,18 +36,14 @@ fn main() {
         };
         let mut row = vec![strategy.name().to_string()];
         for kind in kinds {
-            print!(" | {:>15.2}%", 100.0 * get(kind));
             row.push(format!("{:.4}", get(kind)));
         }
         rows.push(row);
-        println!();
     }
-    println!("{:-<100}", "");
     let expectation = "PromoteBW-upd shows clearly higher abort rates \
          for Balance, DepositChecking and Amalgamate (Bal's promoted \
          Checking write now contends with DC and Amg); the WT strategies \
          and MaterializeBW stay near SI's profile.";
-    println!("Paper expectation: {expectation}");
     let mut report = BenchReport::new(
         "fig6",
         "Figure 6 — serialization-failure abort rate per transaction type (MPL 20)",
@@ -72,5 +53,5 @@ fn main() {
     let mut columns = vec!["strategy".to_string()];
     columns.extend(kinds.iter().map(|k| format!("{k} abort fraction")));
     report.push_table("abort rates at MPL 20", columns, rows);
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -1,46 +1,7 @@
 //! **Figure 7** — costs with high contention (PostgreSQL profile):
-//! hotspot of 10 customers, 60 % Balance mix.
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{
-    certify_figure, print_certification, print_figure, run_figure, BenchMode, BenchReport,
-    FigureSpec, StrategyLine,
-};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! hotspot of 10 customers, 60 % Balance mix, with every line certified.
+//! The row lives in `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let pg = platforms::postgres();
-    let line = |label: &str, strategy| StrategyLine {
-        label: label.into(),
-        strategy,
-        engine: pg.clone(),
-    };
-    let spec = FigureSpec {
-        id: "Figure 7",
-        title: "High contention: hotspot 10 customers, 60% Balance mix (PostgreSQL profile)",
-        params: WorkloadParams::paper_high_contention(),
-        lines: vec![
-            line("SI", Strategy::BaseSI),
-            line("MaterializeBW", Strategy::MaterializeBW),
-            line("MaterializeWT", Strategy::MaterializeWT),
-            line("PromoteWT-upd", Strategy::PromoteWTUpd),
-            line("PromoteBW-upd", Strategy::PromoteBWUpd),
-            line("MaterializeALL", Strategy::MaterializeALL),
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "SI peaks ~1100 TPS; eliminating the WT edge costs almost nothing; \
-         MaterializeBW drops to ~560 TPS (~50%); MaterializeALL to ~460 \
-         TPS (~60% below SI) — the 'simple' no-SDG strategies are the \
-         most expensive under contention.";
-    print_figure(&spec, &series, expectation);
-    let (certs, latency) = certify_figure("fig7", &spec, mode);
-    print_certification(&certs);
-    let mut report = BenchReport::new("fig7", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    report.certification = certs;
-    report.latency = latency;
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("fig7");
 }

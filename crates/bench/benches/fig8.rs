@@ -1,40 +1,8 @@
 //! **Figure 8** — eliminating the WriteCheck→TransactSaving vulnerability
 //! on the commercial platform (First-Committer-Wins, sfu-as-write, load
-//! penalty): absolute TPS (panel a) and relative-to-SI (panel b).
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{print_figure, run_figure, BenchMode, BenchReport, FigureSpec, StrategyLine};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! penalty): absolute TPS (panel a) and relative-to-SI (panel b). The row
+//! lives in `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let com = platforms::commercial();
-    let line = |label: &str, strategy| StrategyLine {
-        label: label.into(),
-        strategy,
-        engine: com.clone(),
-    };
-    let spec = FigureSpec {
-        id: "Figure 8",
-        title: "Eliminating WT vulnerability (commercial profile)",
-        params: WorkloadParams::paper_default(),
-        lines: vec![
-            line("SI", Strategy::BaseSI),
-            line("MaterializeWT", Strategy::MaterializeWT),
-            line("PromoteWT-sfu", Strategy::PromoteWTSfu),
-            line("PromoteWT-upd", Strategy::PromoteWTUpd),
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "The commercial platform peaks around 800 TPS near MPL 20–25 and \
-         then DECLINES (unlike PostgreSQL's plateau). PromoteWT-sfu \
-         reaches essentially SI's peak, declining a bit faster past MPL \
-         20; PromoteWT-upd matches to the peak then declines faster; \
-         materialization does relatively better than promotion here (the \
-         reverse of PostgreSQL).";
-    print_figure(&spec, &series, expectation);
-    let mut report = BenchReport::new("fig8", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("fig8");
 }

@@ -1,37 +1,7 @@
 //! **Figure 9** — eliminating the Balance→WriteCheck vulnerability on
 //! the commercial platform: absolute TPS (panel a) and relative-to-SI
-//! (panel b).
-
-use sicost_bench::figures::platforms;
-use sicost_bench::{print_figure, run_figure, BenchMode, BenchReport, FigureSpec, StrategyLine};
-use sicost_smallbank::{Strategy, WorkloadParams};
+//! (panel b). The row lives in `sicost_bench::figures::table`.
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let com = platforms::commercial();
-    let line = |label: &str, strategy| StrategyLine {
-        label: label.into(),
-        strategy,
-        engine: com.clone(),
-    };
-    let spec = FigureSpec {
-        id: "Figure 9",
-        title: "Eliminating BW vulnerability (commercial profile)",
-        params: WorkloadParams::paper_default(),
-        lines: vec![
-            line("SI", Strategy::BaseSI),
-            line("MaterializeBW", Strategy::MaterializeBW),
-            line("PromoteBW-sfu", Strategy::PromoteBWSfu),
-            line("PromoteBW-upd", Strategy::PromoteBWUpd),
-        ],
-    };
-    let series = run_figure(&spec, mode);
-    let expectation = "All BW eliminations do substantially worse on the commercial \
-         platform: peak throughput at least ~10% below SI, with \
-         PromoteBW-upd worst at ~630 TPS (~80% of SI's peak).";
-    print_figure(&spec, &series, expectation);
-    let mut report = BenchReport::new("fig9", spec.title, mode);
-    report.expectation = expectation.into();
-    report.push_series("MPL", &series);
-    println!("report: {}", report.write().display());
+    sicost_bench::figures::main("fig9");
 }

@@ -17,8 +17,8 @@ use sicost_storage::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Warm up briefly, then time `iters` calls of `f`, report ns/op, and
-/// append a report row.
+/// Warm up briefly, then time `iters` calls of `f` and append a report
+/// row with its ns/op.
 fn bench(rows: &mut Vec<Vec<String>>, name: &str, mut f: impl FnMut()) {
     for _ in 0..1_000 {
         f();
@@ -33,7 +33,6 @@ fn bench(rows: &mut Vec<Vec<String>>, name: &str, mut f: impl FnMut()) {
         let elapsed = start.elapsed();
         if elapsed >= Duration::from_millis(200) || iters >= 1 << 24 {
             let ns = elapsed.as_nanos() as f64 / iters as f64;
-            println!("{name:<45} {ns:>12.1} ns/op   ({iters} iters)");
             rows.push(vec![
                 name.to_string(),
                 format!("{ns:.1}"),
@@ -171,5 +170,5 @@ fn main() {
         vec!["benchmark".into(), "ns/op".into(), "iters".into()],
         rows,
     );
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -16,8 +16,7 @@
 //! sheds the excess and keeps p99 bounded by the queue capacity at
 //! roughly the same goodput.
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_common::{OnlineStats, Summary};
+use sicost_bench::{summarize, BenchMode, BenchReport};
 use sicost_driver::{
     run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, RunConfig, Series,
 };
@@ -61,14 +60,6 @@ fn build_driver(strategy: Strategy, customers: u64, hotspot: u64, seed: u64) -> 
     ));
     let params = WorkloadParams::paper_default().scaled(customers, hotspot);
     SmallBankDriver::new(bank, SmallBankWorkload::new(params))
-}
-
-fn summarize(vals: &[f64]) -> Summary {
-    let mut s = OnlineStats::new();
-    for &v in vals {
-        s.push(v);
-    }
-    s.summary()
 }
 
 fn ms(d: Duration) -> f64 {
@@ -152,17 +143,6 @@ fn main() {
         ),
     ];
 
-    println!(
-        "\nA9 — open-system sweep, 0.5×–2× of closed peak ({} mode)",
-        mode.name()
-    );
-    println!("{:-<108}", "");
-    println!(
-        "{:>12} {:>14} | {:>6} {:>10} {:>8} {:>10} {:>9} {:>9} {:>9}",
-        "strategy", "policy", "×peak", "offered", "shed%", "goodput", "p50 ms", "p95 ms", "p99 ms"
-    );
-    println!("{:-<108}", "");
-
     let mut report = BenchReport::new(
         "openloop",
         "A9 — open-system goodput and tail latency vs offered load, by admission policy",
@@ -199,12 +179,6 @@ fn main() {
             let mut at_point = Vec::new();
             for (pi, (pname, policy)) in policies.iter().enumerate() {
                 let stats = measure_point(&driver, peak * mult, horizon, *policy, repeats);
-                println!(
-                    "{:>12} {pname:>14} | {mult:>5.1}× {:>10.0} {:>8.1} {:>10.0} {:>9.1} {:>9.1} {:>9.1}",
-                    strategy.to_string(),
-                    stats.offered, stats.shed_pct, stats.goodput, stats.p50_ms, stats.p95_ms,
-                    stats.p99_ms
-                );
                 goodput_series[pi].push(mult, summarize(&stats.goodput_runs));
                 p99_series[pi].push(mult, summarize(&stats.p99_runs));
                 rows.push(vec![
@@ -240,8 +214,6 @@ fn main() {
         series.extend(goodput_series);
         series.extend(p99_series);
     }
-    println!("{:-<108}", "");
-
     report.push_series("offered load (× closed-system peak)", &series);
     report.push_table(
         "open-loop sweep",
@@ -266,7 +238,6 @@ fn main() {
          time; drop-on-full sheds the excess offered load and keeps \
          p99 bounded by queue capacity at essentially peak goodput. \
          Asserted at the 2× point for both strategies.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "postgres-like engine, {customers} customers (hotspot {hotspot}), {WORKERS} workers, \
@@ -275,5 +246,5 @@ fn main() {
     for p in peaks {
         report.notes.push(p);
     }
-    println!("report: {}", report.write().display());
+    report.emit();
 }

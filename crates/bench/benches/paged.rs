@@ -24,8 +24,7 @@
 //!
 //! [`cool_pages`]: sicost_engine::Database::cool_pages
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_common::{OnlineStats, Summary};
+use sicost_bench::{summarize, BenchMode, BenchReport};
 use sicost_driver::{run, RetryPolicy, RunConfig, Series};
 use sicost_engine::{CcMode, EngineConfig};
 use sicost_smallbank::{
@@ -185,14 +184,6 @@ fn run_cell(
     }
 }
 
-fn summarize(vals: &[f64]) -> Summary {
-    let mut s = OnlineStats::new();
-    for &v in vals {
-        s.push(v);
-    }
-    s.summary()
-}
-
 fn main() {
     let mode = BenchMode::from_env();
     let (customers, pages_per_table): (u64, u64) = match mode {
@@ -200,26 +191,6 @@ fn main() {
         BenchMode::Quick => (512, 32),
         BenchMode::Full => (1024, 64),
     };
-
-    println!(
-        "\nA14 — paged storage: pool pressure sweep, {customers} customers ({} mode)",
-        mode.name()
-    );
-    println!("{:-<104}", "");
-    println!(
-        "{:>14} {:>6} | {:>6} {:>6} | {:>10} {:>10} | {:>9} {:>9} | {:>9} {:>9}",
-        "line",
-        "ratio",
-        "ws",
-        "pool",
-        "cold tps",
-        "warm tps",
-        "cold hit",
-        "warm hit",
-        "misses",
-        "evicted"
-    );
-    println!("{:-<104}", "");
 
     // Anchored at the workspace root (cargo runs benches from the
     // package dir), matching the CI artifact path target/paged-trace/.
@@ -252,17 +223,6 @@ fn main() {
                 ws,
                 ratio,
                 mode,
-            );
-            println!(
-                "{label:>14} {:>5}x | {ws:>6} {:>6} | {:>10.0} {:>10.0} | {:>8.1}% {:>8.1}% | {:>9} {:>9}",
-                cell.ratio,
-                cell.pool_pages,
-                cell.cold_tps,
-                cell.warm_tps,
-                100.0 * cell.cold_hit,
-                100.0 * cell.warm_hit,
-                cell.warm_misses,
-                cell.evictions,
             );
             writeln!(
                 trace,
@@ -332,8 +292,6 @@ fn main() {
         hit_series.push(hits);
         tps_series.push(tps);
     }
-    println!("{:-<104}", "");
-
     report.x_label = "working-set-to-pool ratio".into();
     report.push_series("working-set-to-pool ratio", &hit_series);
     report.push_series("working-set-to-pool ratio", &tps_series);
@@ -360,12 +318,11 @@ fn main() {
          certifier state is not paged), and MaterializeWT's hot Conflict rows \
          stay cached even under pressure because materialization concentrates \
          writes on few pages.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "functional engine, paged backend, {customers} customers (uniform access), \
          {pages_per_table} pages/table, {PAGE_LATENCY:?}/page i/o, MPL {MPL}, \
          cold window measured right after Database::cool_pages"
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

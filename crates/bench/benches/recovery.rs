@@ -19,8 +19,8 @@
 //! pages and writes a fixed-size frame — the incremental-checkpoint
 //! claim, asserted as a >10x frame-size gap on the same workload.
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_common::{Money, OnlineStats, Summary, Xoshiro256};
+use sicost_bench::{summarize, BenchMode, BenchReport};
+use sicost_common::{Money, Xoshiro256};
 use sicost_driver::Series;
 use sicost_engine::{CheckpointPolicy, EngineConfig};
 use sicost_smallbank::schema::{customer_name, recover_database, total_balance};
@@ -84,14 +84,6 @@ fn run_once(checkpoint_every: Option<u64>, ops: u64, customers: u64, seed: u64) 
     }
 }
 
-fn summarize(vals: &[f64]) -> Summary {
-    let mut s = OnlineStats::new();
-    for &v in vals {
-        s.push(v);
-    }
-    s.summary()
-}
-
 /// What one mid-run checkpoint costs on a backend: the frame it wrote
 /// (a whole-table image in memory, a fixed-size page manifest on the
 /// paged backend) and the dirty pages it flushed.
@@ -147,17 +139,6 @@ fn main() {
         (format!("every-{}", ops / 32), Some(ops / 32)),
     ];
 
-    println!(
-        "\nA8 — recovery cost after {ops} commits ({} mode)",
-        mode.name()
-    );
-    println!("{:-<100}", "");
-    println!(
-        "{:>16} | {:>10} {:>14} {:>14} {:>14} {:>12} {:>10}",
-        "scenario", "ckpts", "wal appended", "replay bytes", "replay recs", "recovery", "delta%"
-    );
-    println!("{:-<100}", "");
-
     let mut report = BenchReport::new(
         "recovery",
         "A8 — restart cost: full-history replay vs post-checkpoint suffix replay",
@@ -189,10 +170,6 @@ fn main() {
         bytes_series.push(x, bytes);
         time_series.push(x, us);
         let delta = 100.0 * bytes.mean / baseline_bytes;
-        println!(
-            "{label:>16} | {ckpts:>10} {appended:>14.0} {:>14.0} {:>14.0} {:>10.0}µs {delta:>9.1}%",
-            bytes.mean, recs.mean, us.mean
-        );
         rows.push(vec![
             label.clone(),
             format!("{ckpts:.0}"),
@@ -203,7 +180,6 @@ fn main() {
             format!("{delta:.1}"),
         ]);
     }
-    println!("{:-<100}", "");
 
     // --- Incremental vs full-image checkpoint cost. The same deposit
     // prefix runs on both backends; the mid-run checkpoint then writes a
@@ -226,12 +202,7 @@ fn main() {
     assert_eq!(paged_img.rows, 0, "paged checkpoints snapshot no rows");
     assert!(paged_img.pages_flushed > 0, "dirty pages must have flushed");
     assert_eq!(full_img.pages_flushed, 0, "in-memory flushes no pages");
-    println!(
-        "checkpoint frame after {ckpt_ops} commits: in-memory {} bytes ({} rows) vs \
-         paged {} bytes (+{} dirty pages flushed)",
-        full_img.image_bytes, full_img.rows, paged_img.image_bytes, paged_img.pages_flushed
-    );
-    println!("{:-<100}", "");
+    eprintln!("  [A8] checkpoint frames measured after {ckpt_ops} commits");
 
     report.x_label = "checkpoint interval (commits; 0 = init-only)".into();
     report.push_series("interval", &[bytes_series, time_series]);
@@ -276,11 +247,10 @@ fn main() {
          history, while every auto-checkpointing scenario replays only \
          the tail since its last checkpoint — strictly fewer bytes, \
          asserted per run after the balance-conservation audit passes.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "functional engine, {customers} customers, {ops} single-threaded deposit ops, {} repeats",
         mode.repeats()
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -47,22 +47,6 @@ fn main() {
         BenchMode::Full => Duration::from_millis(800),
     };
 
-    println!("\nA13 — SI-robustness matrix: static checker vs dynamic certifier");
-    println!("{:-<100}", "");
-    println!(
-        "{:>18} {:>16} | {:>7} {:>5} {:>9} {:>9} | {:>8} {:>9} {:>9}",
-        "workload",
-        "strategy",
-        "robust",
-        "vuln",
-        "witnesses",
-        "fix-cost",
-        "commits",
-        "anomalies",
-        "scripted"
-    );
-    println!("{:-<100}", "");
-
     let mut report = BenchReport::new(
         "robustness",
         "A13 — corpus × strategy robustness matrix (static checker cross-validated online)",
@@ -143,17 +127,11 @@ fn main() {
                 }
             }
 
-            println!(
-                "{:>18} {:>16} | {:>7} {:>5} {:>9} {:>9.1} | {:>8} {:>9} {:>9}",
+            eprintln!(
+                "  [A13] {} × {}: {} vulnerable edges, {scripted} witness schedules run",
                 workload.name(),
                 strategy.name(),
-                static_robust,
                 cell_sdg.vulnerable_edges().len(),
-                cell_witnesses.len(),
-                fix_cost,
-                metrics.commits(),
-                stats.si_anomalies(),
-                scripted
             );
             rows.push(vec![
                 workload.name().to_string(),
@@ -170,14 +148,12 @@ fn main() {
             ));
         }
     }
-    println!("{:-<100}", "");
     let expectation = "doctors and read-only-triple are not robust under plain SI \
          (the certifier finds live write skew / dangerous structures and every \
          predicted witness schedule realises its anomaly); long-fork and \
          tpcc-lite are robust despite vulnerable edges; every fix strategy \
          (including the checker's minimal fix) drives the certified anomaly \
          count to exactly zero and kills every base witness schedule.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.push_table(
         "robustness matrix",
@@ -195,5 +171,5 @@ fn main() {
         .collect(),
         rows,
     );
-    println!("report: {}", report.write().display());
+    report.emit();
 }

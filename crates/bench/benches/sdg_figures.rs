@@ -1,7 +1,7 @@
 //! **Figures 1–3** — the SmallBank SDG and the SDGs after each option.
 //!
-//! Prints the ASCII edge listing (dashed `--v-->` = vulnerable, as in the
-//! paper's dashed edges) and GraphViz DOT for: the base mix (Figure 1),
+//! Reports the ASCII edge listing (dashed `--v-->` = vulnerable, as in the
+//! paper's dashed edges) and prints GraphViz DOT for: the base mix (Figure 1),
 //! Option WT (Figure 2), and Option BW (Figure 3, both sub-figures),
 //! each produced by *applying* the strategy through the toolkit and
 //! re-analysing.
@@ -12,9 +12,7 @@ use sicost_smallbank::sdg_spec::{plan_for, smallbank_sdg};
 use sicost_smallbank::Strategy;
 
 fn show(rows: &mut Vec<Vec<String>>, title: &str, sdg: &sicost_core::Sdg) {
-    println!("\n=== {title} ===");
-    println!("{}", sdg.to_ascii());
-    println!("DOT:\n{}", sdg.to_dot());
+    println!("DOT for {title}:\n{}", sdg.to_dot());
     rows.push(vec![
         title.to_string(),
         sdg.to_ascii(),
@@ -76,7 +74,6 @@ fn main() {
     let expectation = "Figure 1 has vulnerable edges Bal→WC, Bal→TS, \
          Bal→DC, Bal→Amg, WC→TS and exactly one dangerous structure \
          Bal→WC→TS; every option's SDG has none.";
-    println!("\nPaper expectation: {expectation}");
     let mut report = BenchReport::new(
         "sdg_figures",
         "Figures 1–3 — the SmallBank SDG and the SDGs after each option",
@@ -92,5 +89,5 @@ fn main() {
         ],
         rows,
     );
-    println!("report: {}", report.write().display());
+    report.emit();
 }

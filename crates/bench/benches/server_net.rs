@@ -17,9 +17,9 @@
 //!   reported per-transaction cost is the deterministic protocol cost in
 //!   model time, byte-identical across same-seed runs.
 
-use sicost_bench::{BenchMode, BenchReport};
+use sicost_bench::{summarize, BenchMode, BenchReport};
 use sicost_common::sync::{sim_spawn, SimJoinHandle};
-use sicost_common::{OnlineStats, Summary, Xoshiro256};
+use sicost_common::Xoshiro256;
 use sicost_driver::{run, Outcome, RunConfig, Series};
 use sicost_engine::{CcMode, EngineConfig};
 use sicost_server::{
@@ -44,14 +44,6 @@ fn sb_config(customers: u64) -> SmallBankConfig {
 
 fn params(customers: u64, hotspot: u64) -> WorkloadParams {
     WorkloadParams::paper_default().scaled(customers, hotspot)
-}
-
-fn summarize(vals: &[f64]) -> Summary {
-    let mut s = OnlineStats::new();
-    for &v in vals {
-        s.push(v);
-    }
-    s.summary()
 }
 
 struct TierStats {
@@ -207,17 +199,6 @@ fn main() {
         BenchMode::Full => (2_000, 200, 2_000),
     };
 
-    println!(
-        "\nA11 — network-tier cost: in-process vs sim-net vs TCP ({} mode)",
-        mode.name()
-    );
-    println!("{:-<100}", "");
-    println!(
-        "{:>8} {:>14} | {:>12} {:>10} {:>10} {:>18}",
-        "cc", "tier", "tps", "commit %", "serfail %", "note"
-    );
-    println!("{:-<100}", "");
-
     let mut report = BenchReport::new(
         "server_net",
         "A11 — SmallBank throughput in-process vs simulated network vs TCP loopback",
@@ -265,16 +246,13 @@ fn main() {
                 None,
             ),
         ] {
-            println!(
-                "{cc_name:>8} {tier:>14} | {tps:>12.0} {commit_pct:>10.1} {ser_pct:>10.2} {note:>18}"
-            );
             rows.push(vec![
                 cc_name.to_string(),
                 tier.to_string(),
                 format!("{tps:.0}"),
                 format!("{commit_pct:.1}"),
                 format!("{ser_pct:.2}"),
-                note.clone(),
+                note,
             ]);
             if let Some(runs) = runs {
                 let mut s = Series::new(format!("{cc_name}/{tier} tps"));
@@ -283,8 +261,6 @@ fn main() {
             }
         }
     }
-    println!("{:-<100}", "");
-
     report.push_series("tier", &series);
     report.push_table(
         "network-tier cost",
@@ -305,11 +281,10 @@ fn main() {
          virtual-time cost per transaction and must replay byte-identically \
          at a fixed seed; its serialization-failure profile matches the \
          in-process coding because the engine underneath is identical.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "postgres-like engine, {customers} customers (hotspot {hotspot}), MPL {MPL}, \
          sim tier {sim_n} sequential txns over 1 connection at 50µs±50µs model latency"
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -69,12 +69,6 @@ fn main() {
         BenchMode::Full => (3, 2, 16),
     };
 
-    println!(
-        "\nA10 — SSI/FCW model check + DST divergence sweep ({} mode)",
-        mode.name()
-    );
-    println!("{:-<78}", "");
-
     let mut report = BenchReport::new(
         "simcheck",
         "A10 — exhaustive SSI/FCW model check and deterministic-simulation sweep",
@@ -96,10 +90,6 @@ fn main() {
         on.violation.is_none(),
         "SSI/FCW violated an invariant:\n{}",
         on.violation.as_ref().unwrap().render()
-    );
-    println!(
-        "SSI on : {} states, {} transitions ({} pruned), depth {} — all invariants hold",
-        on.explored, on.transitions, on.pruned, on.max_depth
     );
     rows.push(vec![
         format!("ssi-on {txns}x{keys}"),
@@ -124,12 +114,6 @@ fn main() {
         .as_ref()
         .expect("plain SI must show the write-skew anomaly");
     assert_eq!(violation.invariant, "Serializable");
-    println!(
-        "SSI off: {} states explored before the write-skew counterexample \
-         ({} actions deep)",
-        off.explored,
-        violation.trace.len()
-    );
     rows.push(vec![
         format!("ssi-off {txns}x{keys}"),
         off.explored.to_string(),
@@ -154,10 +138,6 @@ fn main() {
         divergences, 0,
         "same-seed schedules must replay identically"
     );
-    println!(
-        "DST    : {dst_seeds} schedules x2 replays, {decisions_total} scheduling \
-         decisions, {divergences} divergences"
-    );
     rows.push(vec![
         "dst-sweep".into(),
         dst_seeds.to_string(),
@@ -166,8 +146,6 @@ fn main() {
         "-".into(),
         format!("{divergences} divergences"),
     ]);
-    println!("{:-<78}", "");
-
     report.push_table(
         "verification counters",
         vec![
@@ -185,11 +163,10 @@ fn main() {
          specs/ssi/serializable_snapshot_isolation.tla); with SSI disabled the \
          checker finds the write-skew counterexample; and every seeded DST \
          schedule replays with an identical trace hash — zero divergences.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "model {txns} txns x {keys} keys, BFS budget {BUDGET}; DST sweep {dst_seeds} seeds, \
          SmallBank(8) x 2 workers x 60 ops"
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -10,13 +10,6 @@ use sicost_smallbank::sdg_spec::{table_i_row, AMG, BAL, DC, TS, WC};
 use sicost_smallbank::Strategy;
 
 fn main() {
-    println!("\nTable I — tables updated by each option (derived from the SDG toolkit)");
-    println!("{:-<100}", "");
-    println!(
-        "{:<16} | {:<22} | {:<14} | {:<10} | {:<10} | {:<10}",
-        "Option / TX", BAL, WC, TS, AMG, DC
-    );
-    println!("{:-<100}", "");
     let mut report_rows = Vec::new();
     for strategy in Strategy::all() {
         if strategy == Strategy::BaseSI {
@@ -41,15 +34,6 @@ fn main() {
                 })
                 .unwrap_or_default()
         };
-        println!(
-            "{:<16} | {:<22} | {:<14} | {:<10} | {:<10} | {:<10}",
-            strategy.name(),
-            cell(BAL),
-            cell(WC),
-            cell(TS),
-            cell(AMG),
-            cell(DC)
-        );
         report_rows.push(vec![
             strategy.name().to_string(),
             cell(BAL),
@@ -59,11 +43,9 @@ fn main() {
             cell(DC),
         ]);
     }
-    println!("{:-<100}", "");
     let expectation = "WT options touch only WC/TS; BW options and the ALL \
          options add writes to the read-only Balance; MaterializeALL puts a \
          Conflict update in every program (two rows in Amalgamate).";
-    println!("Paper expectation: {expectation}");
     let mut report = BenchReport::new(
         "table1",
         "Table I — tables updated by each option (derived from the SDG toolkit)",
@@ -78,5 +60,5 @@ fn main() {
             .collect(),
         report_rows,
     );
-    println!("report: {}", report.write().display());
+    report.emit();
 }

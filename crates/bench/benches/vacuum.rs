@@ -23,8 +23,7 @@
 //! Every sample is also appended to `target/vacuum-trace/trace.jsonl`;
 //! CI uploads that file when the harness fails.
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_common::{OnlineStats, Summary};
+use sicost_bench::{summarize, BenchMode, BenchReport};
 use sicost_driver::{
     run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, Report, RunConfig, Series,
     VacuumReport,
@@ -75,14 +74,6 @@ fn build_driver(
     (bank, driver)
 }
 
-fn summarize(vals: &[f64]) -> Summary {
-    let mut s = OnlineStats::new();
-    for &v in vals {
-        s.push(v);
-    }
-    s.summary()
-}
-
 /// Runs `windows` consecutive open-loop windows against one engine,
 /// sampling the live gauges after each, appending JSONL trace lines.
 #[allow(clippy::too_many_arguments)]
@@ -131,16 +122,6 @@ fn run_windows(
             sample.vacuum_runs,
         )
         .expect("write GC trace line");
-        println!(
-            "{label:>4} window {w:>2} | {:>8} commits {:>9.0} tps | chain {:>5} siread {:>8} | \
-             pruned {:>8} runs {:>3}",
-            sample.commits,
-            sample.goodput,
-            sample.max_chain_len,
-            sample.siread_entries,
-            sample.versions_pruned,
-            sample.vacuum_runs,
-        );
         samples.push(sample);
     }
     samples
@@ -154,12 +135,6 @@ fn main() {
             BenchMode::Quick => (1_000, 100, Duration::from_millis(300), 6, 500),
             BenchMode::Full => (2_000, 200, Duration::from_millis(1_000), 10, 1_000),
         };
-
-    println!(
-        "\nA12 — version GC under sustained load ({} mode)",
-        mode.name()
-    );
-    println!("{:-<100}", "");
 
     // Anchored at the workspace root (cargo runs benches from the
     // package dir), matching the CI artifact path target/vacuum-trace/.
@@ -200,7 +175,6 @@ fn main() {
         0xA1200,
         &mut trace,
     );
-    println!();
     let (on_bank, on_driver) = build_driver(
         customers,
         hotspot,
@@ -272,11 +246,6 @@ fn main() {
     // paper's platform (the sustained-load claim is ≥ 60 virtual s).
     let commits_on: u64 = on.iter().map(|s| s.commits).sum();
     let virtual_time = PAPER_TXN_COST * commits_on as u32;
-    println!(
-        "\nGC-on arm: {commits_on} commits = {virtual_time:.1?} virtual at the paper's \
-         {PAPER_TXN_COST:?}/txn ({} mode)",
-        mode.name()
-    );
     if matches!(mode, BenchMode::Full) {
         assert!(
             virtual_time >= Duration::from_secs(60),
@@ -286,7 +255,6 @@ fn main() {
 
     // --- Worker-scaling axis: informational, graceful on one core.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nworker sweep (host has {cores} core(s) — scaling is informational):");
     let mut scaling = Series::new("GC-on goodput tps");
     let mut scaling_rows = Vec::new();
     for workers in [1usize, 2, 4] {
@@ -303,7 +271,6 @@ fn main() {
             .with_admission(AdmissionPolicy::DropOnFull { capacity: 64 })
             .with_seed(0xA1277 + workers as u64);
         let m = run_open(&driver, &cfg);
-        println!("  {workers} workers: {:>9.0} tps", m.goodput());
         scaling.push(workers as f64, summarize(&[m.goodput()]));
         scaling_rows.push(vec![
             workers.to_string(),
@@ -376,7 +343,6 @@ fn main() {
          (bounded by the cadence) at equal or better goodput. The worker \
          sweep is informational: lock-free reads scale with cores, which \
          on a single-core host means roughly flat.";
-    println!("Expectation: {expectation}");
     report.expectation = expectation.into();
     report.notes.push(format!(
         "functional SSI engine, {customers} customers (hotspot {hotspot}), {WORKERS} workers, \
@@ -386,5 +352,5 @@ fn main() {
         "GC-on virtual time {virtual_time:.1?} at {PAPER_TXN_COST:?}/txn; \
          goodput on/off = {goodput_on:.0}/{goodput_off:.0} tps"
     ));
-    println!("report: {}", report.write().display());
+    report.emit();
 }

@@ -1,10 +1,11 @@
 //! Versioned, machine-readable benchmark reports.
 //!
-//! Every bench harness prints its text tables exactly as before **and**
-//! writes a [`BenchReport`] to `bench_results/<name>.json` at the repo
-//! root (override the directory with `SICOST_BENCH_RESULTS`). The
-//! `bench_summary` binary validates the set and folds it into
-//! `BENCH_smallbank.json`.
+//! Every bench harness fills one [`BenchReport`] and calls
+//! [`BenchReport::emit`], which prints [`BenchReport::render`] (the one
+//! place a report becomes text) and writes the report to
+//! `bench_results/<name>.json` at the repo root (override the directory
+//! with `SICOST_BENCH_RESULTS`). The `bench_summary` binary validates
+//! the set and folds it into `BENCH_smallbank.json`.
 //!
 //! The schema is hand-rolled JSON over [`sicost_common::Json`] — the
 //! build is offline, so there is no serde. [`BenchReport::from_json`]
@@ -13,10 +14,11 @@
 //! parse rather than trusted.
 
 use crate::mode::BenchMode;
-use sicost_common::Json;
-use sicost_driver::Series;
+use sicost_common::{Json, Summary};
+use sicost_driver::{ascii_chart, csv_table, render_table, Series};
 use sicost_mvsg::CertStats;
 use sicost_trace::KindSummary;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Version stamped into every report as `schema_version`. Bump when a
@@ -45,6 +47,42 @@ pub struct ReportSeries {
     pub points: Vec<ReportPoint>,
 }
 
+impl ReportSeries {
+    /// The series in the driver's form, for its table, chart and CSV
+    /// renderers.
+    fn to_series(&self) -> Series {
+        let mut s = Series::new(self.label.clone());
+        for p in &self.points {
+            s.push(
+                p.x,
+                Summary {
+                    n: p.n,
+                    mean: p.mean,
+                    stddev: 0.0,
+                    min: p.mean,
+                    max: p.mean,
+                    ci95: p.ci95,
+                },
+            );
+        }
+        s
+    }
+}
+
+/// `series` as a percentage of `base` at each x where `base` is positive.
+fn relative_to(series: &Series, base: &Series) -> Series {
+    let mut r = Series::new(series.label.clone());
+    for p in &series.points {
+        if let Some(b) = base.at(p.x).filter(|b| *b > 0.0) {
+            let mut y = p.y;
+            y.mean = 100.0 * p.y.mean / b;
+            y.ci95 = 100.0 * p.y.ci95 / b;
+            r.push(p.x, y);
+        }
+    }
+    r
+}
+
 /// A free-form table for harnesses whose output is not an x/y sweep
 /// (Table I, the Figure 6 abort matrix, micro-benchmarks).
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +93,54 @@ pub struct ReportTable {
     pub columns: Vec<String>,
     /// Rows, one cell per column, pre-rendered.
     pub rows: Vec<Vec<String>>,
+}
+
+impl ReportTable {
+    /// The table as column-aligned text: caption, header, rule, then one
+    /// line per row. Each column is as wide as its widest cell, and a cell
+    /// holding several lines spans as many text lines.
+    fn render(&self) -> String {
+        let width = |cell: &str| cell.lines().map(|l| l.chars().count()).max().unwrap_or(0);
+        let mut widths: Vec<usize> = self.columns.iter().map(|c| width(c)).collect();
+        for row in &self.rows {
+            if row.len() > widths.len() {
+                widths.resize(row.len(), 0);
+            }
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(width(cell));
+            }
+        }
+        let rule = widths.iter().sum::<usize>() + 3 * widths.len().saturating_sub(1);
+        let mut out = format!("{}\n", self.title);
+        aligned_row(&mut out, &widths, &self.columns);
+        out.push_str(&"-".repeat(rule));
+        out.push('\n');
+        for row in &self.rows {
+            aligned_row(&mut out, &widths, row);
+        }
+        out
+    }
+}
+
+/// Appends one table row, padded to `widths`, as one text line per line
+/// of its tallest cell.
+fn aligned_row(out: &mut String, widths: &[usize], cells: &[String]) {
+    let lines: Vec<Vec<&str>> = cells.iter().map(|c| c.lines().collect()).collect();
+    let height = lines.iter().map(Vec::len).max().unwrap_or(0).max(1);
+    for i in 0..height {
+        let text: Vec<String> = widths
+            .iter()
+            .enumerate()
+            .map(|(c, w)| {
+                let cell = lines.get(c).and_then(|l| l.get(i)).copied().unwrap_or("");
+                // The last column needs no padding.
+                let w = if c + 1 < widths.len() { *w } else { 0 };
+                format!("{cell:<w$}")
+            })
+            .collect();
+        out.push_str(&text.join(" | "));
+        out.push('\n');
+    }
 }
 
 /// Anomaly-certification results for one strategy line (a
@@ -293,6 +379,85 @@ impl BenchReport {
         });
     }
 
+    /// The report as text: the title; the series as a table, a
+    /// relative-to-first-line table (the paper's "(b)" panels), a chart
+    /// and CSV; every table; the certification panel with its witnesses;
+    /// then the expectation and the notes.
+    pub fn render(&self) -> String {
+        let rule = "=".repeat(66);
+        let mut out = format!("\n{rule}\n{}\n{rule}\n", self.title);
+        if !self.series.is_empty() {
+            let series: Vec<Series> = self.series.iter().map(ReportSeries::to_series).collect();
+            let _ = writeln!(out, "{}", render_table(&self.x_label, &series));
+            if let [base, rest @ ..] = series.as_slice() {
+                if !rest.is_empty() {
+                    let rel: Vec<Series> = rest.iter().map(|s| relative_to(s, base)).collect();
+                    let _ = writeln!(out, "Relative to {} (the paper's (b) panel):", base.label);
+                    let _ = writeln!(out, "{}", render_table(&self.x_label, &rel));
+                }
+            }
+            let _ = writeln!(out, "{}", ascii_chart(&series, 16));
+            let _ = writeln!(out, "--- CSV ---\n{}", csv_table(&self.x_label, &series));
+        }
+        for t in &self.tables {
+            let _ = writeln!(out, "{}", t.render());
+        }
+        if !self.certification.is_empty() {
+            let panel = ReportTable {
+                title: "Online MVSG certification (sampled windows):".into(),
+                columns: [
+                    "line",
+                    "windows",
+                    "txns",
+                    "write-skew",
+                    "dangerous",
+                    "other",
+                    "per-1k",
+                ]
+                .map(String::from)
+                .to_vec(),
+                rows: self
+                    .certification
+                    .iter()
+                    .map(|c| {
+                        vec![
+                            c.label.clone(),
+                            c.windows_certified.to_string(),
+                            c.txns_certified.to_string(),
+                            c.write_skew.to_string(),
+                            c.dangerous_structure.to_string(),
+                            c.other_cycles.to_string(),
+                            format!("{:.3}", c.anomalies_per_1k()),
+                        ]
+                    })
+                    .collect(),
+            };
+            out.push_str(&panel.render());
+            for c in &self.certification {
+                for w in &c.witnesses {
+                    let _ = writeln!(out, "  witness [{}]: {w}", c.label);
+                }
+            }
+            out.push('\n');
+        }
+        if !self.expectation.is_empty() {
+            let _ = writeln!(out, "Expectation: {}", self.expectation);
+        }
+        for note in &self.notes {
+            let _ = writeln!(out, "Note: {note}");
+        }
+        out
+    }
+
+    /// Prints [`render`](Self::render), writes the report (see
+    /// [`write`](Self::write)) and prints the path written.
+    pub fn emit(&self) -> PathBuf {
+        println!("{}", self.render());
+        let path = self.write();
+        println!("report: {}", path.display());
+        path
+    }
+
     /// The report as a JSON value.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -528,4 +693,100 @@ fn str_array(v: &Json, key: &str) -> Result<Vec<String>, String> {
                 .ok_or_else(|| format!("element of `{key}` is not a string"))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn separators(line: &str) -> Vec<usize> {
+        line.match_indices(" | ").map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn render_shows_every_series_cell_and_witness_with_aligned_columns() {
+        let point = |x, mean| ReportPoint {
+            x,
+            mean,
+            ci95: 1.5,
+            n: 2,
+        };
+        let mut report = BenchReport::new("render", "render test", BenchMode::Smoke);
+        report.x_label = "MPL".into();
+        report.series = vec![
+            ReportSeries {
+                label: "SI".into(),
+                points: vec![point(1.0, 100.0), point(10.0, 800.0)],
+            },
+            ReportSeries {
+                label: "PromoteWT-upd".into(),
+                points: vec![point(1.0, 90.0), point(10.0, 780.0)],
+            },
+        ];
+        let rows = vec![
+            vec!["a-cell-much-wider-than-its-header".into(), "12".into()],
+            vec!["SI".into(), "4567".into()],
+        ];
+        report.push_table("sweep", vec!["line".into(), "tps".into()], rows.clone());
+        report.certification.push(CertRecord {
+            label: "SI".into(),
+            windows_certified: 3,
+            txns_certified: 1500,
+            write_skew: 1,
+            dangerous_structure: 2,
+            other_cycles: 0,
+            witnesses: vec!["T7 -rw-> T9 -rw-> T7".into(), "T3 -rw-> T4".into()],
+        });
+        report.expectation = "SI leads".into();
+        report.notes.push("one note".into());
+
+        let text = report.render();
+        for needle in ["render test", "SI", "PromoteWT-upd", "SI leads", "one note"] {
+            assert!(text.contains(needle), "render lacks {needle:?}:\n{text}");
+        }
+        for cell in rows.iter().flatten() {
+            assert!(text.contains(cell.as_str()), "render lacks cell {cell:?}");
+        }
+        for w in &report.certification[0].witnesses {
+            assert!(text.contains(&format!("witness [SI]: {w}")), "missing {w}");
+        }
+
+        let table = report.tables[0].render();
+        let lines: Vec<&str> = table
+            .lines()
+            .skip(1)
+            .filter(|l| !l.starts_with('-'))
+            .collect();
+        assert_eq!(lines.len(), 3, "header plus two rows:\n{table}");
+        for line in &lines {
+            assert_eq!(
+                separators(line),
+                separators(lines[0]),
+                "misaligned:\n{table}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_multi_line_cell_spans_lines_without_shifting_columns() {
+        let table = ReportTable {
+            title: "t".into(),
+            columns: vec!["figure".into(), "edges".into(), "ok".into()],
+            rows: vec![vec![
+                "F1".into(),
+                "A -> B\nB --v--> C".into(),
+                "true".into(),
+            ]],
+        };
+        let text = table.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines.len(),
+            5,
+            "caption, header, rule, two cell lines:\n{text}"
+        );
+        assert_eq!(separators(lines[3]), separators(lines[1]));
+        assert_eq!(separators(lines[4]), separators(lines[1]));
+        assert!(lines[4].contains("B --v--> C"));
+    }
 }

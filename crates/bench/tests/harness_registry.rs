@@ -4,6 +4,7 @@
 //! (or vice versa) fails here, not in CI's `bench_summary` gate.
 
 use sicost_bench::expected_harnesses;
+use sicost_common::Json;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -48,4 +49,25 @@ fn registry_includes_recovery_and_keeps_order() {
     let names = expected_harnesses();
     assert!(names.iter().any(|n| n == "recovery"));
     assert_eq!(names.first().map(String::as_str), Some("table1"));
+}
+
+#[test]
+fn committed_summary_folds_every_registered_harness() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_smallbank.json");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let summary = Json::parse(&text).expect("summary parses");
+    let Some(Json::Obj(reports)) = summary.get("reports") else {
+        panic!("summary has no `reports` object");
+    };
+    let folded: Vec<&str> = reports.iter().map(|(name, _)| name.as_str()).collect();
+    let expected = expected_harnesses();
+    assert_eq!(
+        folded, expected,
+        "BENCH_smallbank.json is stale: regenerate it with scripts/bench_summary.sh"
+    );
+    assert_eq!(
+        summary.get("harnesses").and_then(|h| h.as_u64()),
+        Some(expected.len() as u64)
+    );
 }

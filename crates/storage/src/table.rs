@@ -531,7 +531,7 @@ mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnType};
     use sicost_common::TxnId;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
     fn accounts() -> Table {
         Table::new(
@@ -780,28 +780,41 @@ mod tests {
 
     /// Stress the orphan-cell race: a writer keeps updating, deleting and
     /// re-inserting two records while a vacuum thread prunes aggressively
-    /// (so the writer regularly races a record drop). The `retired` flag
-    /// protocol must keep the final state exactly what the writer wrote.
+    /// (so the writer regularly races a record drop). Every 50 installs the
+    /// writer also hands the pruner a watermark and waits for that pass, so
+    /// pruning interleaves with the installs however the threads are
+    /// scheduled. The `retired` flag protocol must keep the final state
+    /// exactly what the writer wrote.
     #[test]
     fn concurrent_installs_and_prunes_stay_consistent() {
-        let t = std::sync::Arc::new(accounts());
-        let stop = std::sync::Arc::new(AtomicBool::new(false));
-        let hi = std::sync::Arc::new(AtomicU64::new(0));
+        use std::sync::mpsc::{channel, TryRecvError};
+        let t = Arc::new(accounts());
+        let hi = Arc::new(AtomicU64::new(0));
+        let (watermark_tx, watermark_rx) = channel::<u64>();
+        let (pass_tx, pass_rx) = channel::<()>();
         let pruner = {
-            let t = std::sync::Arc::clone(&t);
-            let stop = std::sync::Arc::clone(&stop);
-            let hi = std::sync::Arc::clone(&hi);
+            let t = Arc::clone(&t);
+            let hi = Arc::clone(&hi);
             std::thread::spawn(move || {
                 let mut total = 0;
-                while !stop.load(SeqCst) {
-                    let h = hi.load(SeqCst).saturating_sub(2);
-                    if h > 0 {
-                        total += t.prune(Ts(h));
+                loop {
+                    match watermark_rx.try_recv() {
+                        Ok(h) => {
+                            total += t.prune(Ts(h));
+                            epoch::collect();
+                            pass_tx.send(()).unwrap();
+                        }
+                        Err(TryRecvError::Empty) => {
+                            let h = hi.load(SeqCst).saturating_sub(2);
+                            if h > 0 {
+                                total += t.prune(Ts(h));
+                            }
+                            epoch::collect();
+                            std::thread::yield_now();
+                        }
+                        Err(TryRecvError::Disconnected) => return total,
                     }
-                    epoch::collect();
-                    std::thread::yield_now();
                 }
-                total
             })
         };
         let last = 600u64;
@@ -820,8 +833,12 @@ mod tests {
             };
             t.install(&key, version).unwrap();
             hi.store(ts, SeqCst);
+            if ts % 50 == 0 {
+                watermark_tx.send(ts - 2).unwrap();
+                pass_rx.recv().unwrap();
+            }
         }
-        stop.store(true, SeqCst);
+        drop(watermark_tx);
         let reclaimed = pruner.join().unwrap();
         assert!(reclaimed > 0, "pruner should have reclaimed something");
         // Final state: the newest non-deleted write of each key survives.

@@ -27,10 +27,16 @@ cargo build --release
 echo "==> cargo test -q (workspace: unit, integration, crash-recovery torture, sim smoke, server smoke, robustness cross-validation)"
 cargo test --workspace -q
 
-echo "==> smoke bench suite (every harness; writes bench_results/*.json, traces under target/)"
+# The smoke reports and their fold go under target/bench-smoke/, so a
+# check never rewrites the committed bench_results/ or BENCH_smallbank.json.
+# Cargo runs benches from the package directory, hence the absolute path.
+smoke="$PWD/target/bench-smoke"
+export SICOST_BENCH_RESULTS="$smoke" SICOST_BENCH_SUMMARY="$smoke/BENCH_smallbank.json"
+
+echo "==> smoke bench suite (every harness; writes target/bench-smoke/*.json, traces under target/)"
 SICOST_BENCH_MODE=smoke cargo bench -q -p sicost-bench
 
-echo "==> validate and fold bench reports"
+echo "==> validate and fold bench reports into target/bench-smoke/BENCH_smallbank.json"
 scripts/bench_summary.sh
 
 echo "==> all checks passed"
