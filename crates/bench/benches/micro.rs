@@ -111,6 +111,31 @@ fn bench_lock_manager(rows: &mut Vec<Vec<String>>) {
     });
 }
 
+fn bench_wal(rows: &mut Vec<Vec<String>>) {
+    use sicost_common::{TableId, TxnId};
+    use sicost_wal::{LogEntry, Wal, WalConfig};
+    // One DepositChecking-sized commit record (the after-image of one
+    // two-column balance row) on a log with no device latency: the
+    // WAL's own CPU cost. The log is cut back every 4096 commits so it
+    // stays small; the cut is amortised into the figure.
+    let wal = Wal::new(WalConfig::instant());
+    let mut i = 0u64;
+    bench(rows, "wal/commit_instant", || {
+        let key = Value::int((i % 18_000) as i64);
+        let image = Some(Row::new(vec![key.clone(), Value::int(i as i64)]));
+        let entry = LogEntry {
+            table: TableId(2),
+            key,
+            image,
+        };
+        black_box(wal.commit(TxnId(i), vec![entry]).unwrap());
+        i += 1;
+        if i % 4096 == 0 {
+            wal.truncate_to(wal.log_end_offset()).unwrap();
+        }
+    });
+}
+
 fn bench_mvsg(rows: &mut Vec<Vec<String>>) {
     use sicost_common::{TableId, Ts, TxnId};
     use sicost_engine::HistoryEvent;
@@ -157,6 +182,7 @@ fn main() {
     let mut rows = Vec::new();
     bench_engine_ops(&mut rows);
     bench_lock_manager(&mut rows);
+    bench_wal(&mut rows);
     bench_mvsg(&mut rows);
     bench_sdg(&mut rows);
     bench_sampling(&mut rows);

@@ -231,6 +231,23 @@ impl SsiManager {
         key: ReadKey,
         newer_writers: &[TxnId],
     ) -> Result<(), TxnError> {
+        self.on_read_then(txn, key, || newer_writers)
+    }
+
+    /// [`SsiManager::on_read`] for a reader that has not yet looked for
+    /// newer versions: `newer_writers` runs only once the SIREAD mark is
+    /// in place. Looked up before the mark, it could miss a writer that
+    /// installed, published and retracted its announcement in between —
+    /// a writer that also validated before the mark existed, so neither
+    /// side would see the rw edge. Looked up after, a writer of the key
+    /// either finds the mark at validation, is still announced when the
+    /// mark goes up, or has installed its version by the time we look.
+    pub fn on_read_then<W: AsRef<[TxnId]>>(
+        &self,
+        txn: TxnId,
+        key: ReadKey,
+        newer_writers: impl FnOnce() -> W,
+    ) -> Result<(), TxnError> {
         let announced: Vec<TxnId> = {
             let mut shard = self.shard(&key).lock();
             let marks = shard.readers.entry(key.clone()).or_default();
@@ -243,6 +260,7 @@ impl SsiManager {
                 .map(|ws| ws.iter().copied().filter(|w| *w != txn).collect())
                 .unwrap_or_default()
         };
+        let newer_writers = newer_writers();
         let mut txns = self.txns.lock();
         if let Some(t) = txns.get_mut(&txn) {
             // Record the key first so an abort cleans the mark up even on
@@ -252,7 +270,7 @@ impl SsiManager {
                 return Err(TxnError::Serialization(SerializationKind::SsiPivot));
             }
         }
-        for &w in newer_writers {
+        for &w in newer_writers.as_ref() {
             mark_rw(&mut txns, txn, w, txn)?;
         }
         for w in announced {
@@ -450,6 +468,24 @@ mod tests {
 
     fn key(k: i64) -> ReadKey {
         (TableId(0), Value::int(k))
+    }
+
+    /// The engine looks for newer versions inside the callback. A writer
+    /// that validates and commits at that moment must already find the
+    /// reader's SIREAD mark; before the mark, it would leave no trace.
+    #[test]
+    fn newer_writers_are_looked_up_after_the_siread_mark() {
+        let ssi = SsiManager::new();
+        ssi.begin(TxnId(1), Ts(10));
+        ssi.begin(TxnId(2), Ts(10));
+        ssi.on_read_then(TxnId(1), key(1), || {
+            ssi.pre_commit(TxnId(2), &[key(1)]).unwrap();
+            ssi.finish_commit(TxnId(2), Ts(11));
+            Vec::new()
+        })
+        .unwrap();
+        assert_eq!(ssi.flags(TxnId(1)), (false, true), "reader -rw-> writer");
+        assert_eq!(ssi.flags(TxnId(2)), (true, false));
     }
 
     /// Classic write skew: T1 reads x,y writes x; T2 reads x,y writes y.

@@ -217,8 +217,10 @@ impl<'db> Transaction<'db> {
             observed: vis.as_ref().map(|v| v.ts),
         });
         if self.cc() == CcMode::Ssi {
-            let newer = self.newer_writers(t.as_ref(), key);
-            if let Err(e) = self.db.ssi.on_read(self.id, (table, key.clone()), &newer) {
+            let marked = self.db.ssi.on_read_then(self.id, (table, key.clone()), || {
+                self.newer_writers(t.as_ref(), key)
+            });
+            if let Err(e) = marked {
                 return Err(self.fail(e));
             }
         }
@@ -260,8 +262,10 @@ impl<'db> Transaction<'db> {
                     observed: vis.as_ref().map(|v| v.ts),
                 });
                 if self.cc() == CcMode::Ssi {
-                    let newer = self.newer_writers(t.as_ref(), key);
-                    if let Err(e) = self.db.ssi.on_read(self.id, (table, key.clone()), &newer) {
+                    let marked = self.db.ssi.on_read_then(self.id, (table, key.clone()), || {
+                        self.newer_writers(t.as_ref(), key)
+                    });
+                    if let Err(e) = marked {
                         return Err(self.fail(e));
                     }
                 }
@@ -585,7 +589,8 @@ impl<'db> Transaction<'db> {
                     return Err(self.fail(TxnError::Transient("crashed before wal append".into())));
                 }
             }
-            // Force the redo log (blocks for the group-commit batch).
+            // Force the redo log: lead the group-commit flush, or block
+            // until a leader's batch holds this record.
             let entries: Vec<LogEntry> = self
                 .writes
                 .iter()

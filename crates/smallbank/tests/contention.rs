@@ -4,56 +4,42 @@
 //! fixes leave Balance untouched.
 
 use sicost_common::Money;
-use sicost_engine::EngineConfig;
-use sicost_smallbank::{schema::customer_name, SmallBank, SmallBankConfig, Strategy};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use sicost_engine::{EngineConfig, Transaction};
+use sicost_smallbank::procs::{balance, deposit_checking};
+use sicost_smallbank::{schema::customer_name, SbError, SmallBank, SmallBankConfig, Strategy};
 
-/// Two threads hammer one customer: one with Balance, one with
-/// DepositChecking. Returns (balance serialization aborts, deposit
-/// serialization aborts).
+/// Balance and DepositChecking on one customer, made to overlap: both
+/// take their snapshots, then one runs to commit and the other runs
+/// after it, once in each order. Returns (Balance serialization
+/// failures, DepositChecking serialization failures).
 fn duel(strategy: Strategy) -> (u64, u64) {
-    let bank = Arc::new(SmallBank::new(
+    let bank = SmallBank::new(
         &SmallBankConfig::small(4),
         EngineConfig::functional(),
         strategy,
-    ));
+    );
+    let (t, m) = (bank.tables(), strategy.mods());
     let name = customer_name(0);
-    let bal_aborts = AtomicU64::new(0);
-    let dc_aborts = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let bank2 = Arc::clone(&bank);
-        let name2 = name.clone();
-        let bal_ref = &bal_aborts;
-        let stop_ref = &stop;
-        s.spawn(move || {
-            for _ in 0..400 {
-                if let Err(e) = bank2.balance(&name2) {
-                    if e.is_serialization_failure() {
-                        bal_ref.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            stop_ref.store(true, Ordering::Relaxed);
-        });
-        let dc_ref = &dc_aborts;
-        let bank3 = Arc::clone(&bank);
-        let name3 = name.clone();
-        s.spawn(move || {
-            while !stop_ref.load(Ordering::Relaxed) {
-                if let Err(e) = bank3.deposit_checking(&name3, Money::dollars(1)) {
-                    if e.is_serialization_failure() {
-                        dc_ref.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    });
-    (
-        bal_aborts.load(Ordering::Relaxed),
-        dc_aborts.load(Ordering::Relaxed),
-    )
+    let failed = |mut tx: Transaction<'_>,
+                  program: &dyn Fn(&mut Transaction<'_>) -> Result<(), SbError>| {
+        let result = program(&mut tx).and_then(|()| Ok(tx.commit()?));
+        u64::from(result.is_err_and(|e| e.is_serialization_failure()))
+    };
+    let bal = |tx: &mut Transaction<'_>| balance(tx, t, &m, &name).map(|_| ());
+    let dc = |tx: &mut Transaction<'_>| deposit_checking(tx, t, &m, &name, Money::dollars(1));
+    let (mut bal_aborts, mut dc_aborts) = (0, 0);
+    for balance_first in [true, false] {
+        let bal_tx = bank.db().begin();
+        let dc_tx = bank.db().begin();
+        if balance_first {
+            bal_aborts += failed(bal_tx, &bal);
+            dc_aborts += failed(dc_tx, &dc);
+        } else {
+            dc_aborts += failed(dc_tx, &dc);
+            bal_aborts += failed(bal_tx, &bal);
+        }
+    }
+    (bal_aborts, dc_aborts)
 }
 
 #[test]

@@ -458,6 +458,10 @@ impl Table {
             for (pk, cell) in entries {
                 let _cw = cell.write.lock();
                 let chain = cell.load(&g);
+                // Most chains hold nothing to reclaim: skip the clone.
+                if chain.prunable(horizon) == 0 && !chain.is_dead(horizon) {
+                    continue;
+                }
                 let mut next = chain.clone();
                 let n = next.prune(horizon);
                 if next.is_dead(horizon) {

@@ -110,15 +110,19 @@ impl VersionChain {
     ///
     /// Returns the number of versions reclaimed.
     pub fn prune(&mut self, horizon: Ts) -> usize {
-        // Index of the newest version with ts <= horizon.
-        let anchor = match self.versions.iter().rposition(|v| v.ts <= horizon) {
-            Some(i) => i,
-            None => return 0,
-        };
-        if anchor == 0 {
-            return 0;
-        }
-        self.versions.drain(..anchor).count()
+        let n = self.prunable(horizon);
+        self.versions.drain(..n);
+        n
+    }
+
+    /// How many versions [`VersionChain::prune`] would reclaim at
+    /// `horizon`, without touching the chain: the index of the newest
+    /// version with `ts <= horizon`.
+    pub fn prunable(&self, horizon: Ts) -> usize {
+        self.versions
+            .iter()
+            .rposition(|v| v.ts <= horizon)
+            .unwrap_or(0)
     }
 
     /// True when the chain holds only a tombstone that predates `horizon` —
@@ -214,6 +218,18 @@ mod tests {
         assert_eq!(c.prune(Ts(100)), 2);
         assert_eq!(c.len(), 1);
         assert_eq!(c.latest_ts(), Some(Ts(9)));
+    }
+
+    #[test]
+    fn prunable_counts_what_prune_reclaims() {
+        for horizon in [0, 1, 4, 5, 6, 9, 100] {
+            let c = chain_123();
+            let mut pruned = c.clone();
+            let n = pruned.prune(Ts(horizon));
+            assert_eq!(c.prunable(Ts(horizon)), n, "horizon {horizon}");
+            assert_eq!(c.len(), 3, "prunable leaves the chain as it is");
+        }
+        assert_eq!(VersionChain::new().prunable(Ts(9)), 0);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!
 //! * [`LogDevice`] models the disk: each sync costs a fixed rotational/seek
 //!   latency plus a per-record transfer cost.
-//! * [`Wal`] runs a background group-commit daemon. A committing transaction
-//!   enqueues its [`LogRecord`] and blocks until the batch containing it has
-//!   been synced; everything queued during the configurable `commit_delay`
-//!   window shares one device sync.
+//! * [`Wal`] does group commit without a thread of its own. A committing
+//!   transaction enqueues its [`LogRecord`]. If no flush is in progress it
+//!   leads one on its own thread, as a PostgreSQL backend does: it waits out
+//!   the `commit_delay` window, and everything queued by then shares one
+//!   device sync. Otherwise it blocks until a leader's batch holds its
+//!   record.
 //! * Read-only transactions never call into this crate at all — which is why
 //!   strategies that add a write to the read-only Balance program pay the
 //!   paper's ~20 % penalty at MPL 1 without any hard-coding on our side.

@@ -1,12 +1,11 @@
-//! The WAL front end and its group-commit daemon.
+//! The WAL front end and its leader-based group commit.
 
 use crate::checkpoint::{DurableImage, Manifest};
 use crate::device::{DeviceStats, LogDevice};
 use crate::record::{LogEntry, LogRecord, Lsn};
-use sicost_common::sync::{sim_sleep, sim_spawn, Condvar, Mutex, SimJoinHandle};
+use sicost_common::sync::{sim_sleep, Condvar, Mutex};
 use sicost_common::{CrashPoint, FaultInjector, TxnId};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,8 +16,8 @@ pub struct WalConfig {
     pub sync_latency: Duration,
     /// Incremental cost per record in a sync batch (transfer).
     pub per_record_cost: Duration,
-    /// Group-commit gather window: after the first commit arrives the
-    /// daemon waits this long for others to join the batch (PostgreSQL's
+    /// Group-commit gather window: the committer that leads a flush waits
+    /// this long for others to join its batch (PostgreSQL's
     /// `commit_delay`, which the paper enables).
     pub commit_delay: Duration,
 }
@@ -92,9 +91,25 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
+/// What a waiting committer is told: keep waiting, lead the next flush,
+/// or its batch's fate.
+#[derive(Clone, Copy)]
+enum Wake {
+    Waiting,
+    Lead,
+    Done(Result<(), WalError>),
+}
+
 struct Completion {
-    done: Mutex<Option<Result<(), WalError>>>,
+    wake: Mutex<Wake>,
     cv: Condvar,
+}
+
+impl Completion {
+    fn signal(&self, wake: Wake) {
+        *self.wake.lock() = wake;
+        self.cv.notify_one();
+    }
 }
 
 struct Pending {
@@ -102,10 +117,18 @@ struct Pending {
     completion: Arc<Completion>,
 }
 
+/// Records waiting for a flush, and whether a leader is flushing now.
+/// While `flushing` is set every new committer waits; otherwise the next
+/// one to enqueue leads.
+struct Queue {
+    pending: Vec<Pending>,
+    flushing: bool,
+}
+
 /// The durable log window under one lock, so a reader can take the base
 /// offset, the byte image, and the decoded record list as one consistent
-/// snapshot (sampling them from separate locks would race with the
-/// daemon's append).
+/// snapshot (sampling them from separate locks would race with a
+/// leader's append).
 struct DiskImage {
     /// Logical byte offset of `bytes[0]`. Starts at 0 and only advances
     /// when checkpoint truncation drops a prefix.
@@ -140,12 +163,15 @@ struct CheckpointArea {
     next_slot: u8,
 }
 
-struct Shared {
+/// The write-ahead log. One instance per database. There is no WAL
+/// thread: group commit is leader-based, as in PostgreSQL. The first
+/// committer to find no flush in progress leads — it waits out the
+/// gather window, syncs everything queued by then, and hands the lead to
+/// the oldest committer that queued behind it.
+pub struct Wal {
     device: LogDevice,
     commit_delay: Duration,
-    queue: Mutex<Vec<Pending>>,
-    kick: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
     /// The durable log window (base offset + bytes + decoded records).
     image: Mutex<DiskImage>,
     /// The durable checkpoint slots and manifests.
@@ -155,36 +181,24 @@ struct Shared {
     faults: Option<Arc<FaultInjector>>,
 }
 
-impl Shared {
-    fn crashed(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.crashed())
-    }
-}
-
-/// The write-ahead log. One instance per database; commits from any number
-/// of threads funnel through the group-commit daemon.
-pub struct Wal {
-    shared: Arc<Shared>,
-    daemon: Option<SimJoinHandle<()>>,
-}
-
 impl Wal {
-    /// Starts the WAL and its group-commit daemon.
+    /// Creates an empty WAL.
     pub fn new(config: WalConfig) -> Self {
         Self::with_faults(config, None)
     }
 
-    /// Starts the WAL with an optional fault injector shared with the
-    /// engine, so WAL-level faults and commit-pipeline faults draw from one
-    /// seeded schedule.
+    /// Creates an empty WAL with an optional fault injector shared with
+    /// the engine, so WAL-level faults and commit-pipeline faults draw from
+    /// one seeded schedule.
     pub fn with_faults(config: WalConfig, faults: Option<Arc<FaultInjector>>) -> Self {
-        let shared = Arc::new(Shared {
+        Self {
             device: LogDevice::new(config.sync_latency, config.per_record_cost)
                 .with_faults(faults.clone()),
             commit_delay: config.commit_delay,
-            queue: Mutex::new(Vec::new()),
-            kick: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                pending: Vec::new(),
+                flushing: false,
+            }),
             image: Mutex::new(DiskImage {
                 base: 0,
                 bytes: Vec::new(),
@@ -199,17 +213,11 @@ impl Wal {
             stats: Mutex::new(WalStats::default()),
             next_lsn: Mutex::new(0),
             faults,
-        });
-        let daemon_shared = Arc::clone(&shared);
-        // sim_spawn: a plain named thread normally; a scheduled task when
-        // running under the deterministic simulator.
-        let daemon = sim_spawn("wal-group-commit", move || {
-            group_commit_loop(&daemon_shared)
-        });
-        Self {
-            shared,
-            daemon: Some(daemon),
         }
+    }
+
+    fn crashed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.crashed())
     }
 
     /// Makes a transaction's redo entries durable, blocking until the sync
@@ -225,39 +233,135 @@ impl Wal {
             !entries.is_empty(),
             "read-only transactions must not write the WAL"
         );
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
         let completion = Arc::new(Completion {
-            done: Mutex::new(None),
+            wake: Mutex::new(Wake::Waiting),
             cv: Condvar::new(),
         });
         let lsn;
+        let lead;
         {
-            let mut next = self.shared.next_lsn.lock();
+            let mut next = self.next_lsn.lock();
             lsn = Lsn(*next);
             *next += 1;
             // Enqueue while still holding the LSN lock so queue order always
             // matches LSN order.
-            self.shared.queue.lock().push(Pending {
+            let mut queue = self.queue.lock();
+            queue.pending.push(Pending {
                 record: LogRecord { lsn, txn, entries },
                 completion: Arc::clone(&completion),
             });
+            lead = !std::mem::replace(&mut queue.flushing, true);
         }
-        self.shared.kick.notify_one();
-        let mut done = completion.done.lock();
-        while done.is_none() {
-            completion.cv.wait(&mut done);
+        if !lead {
+            let mut wake = completion.wake.lock();
+            loop {
+                match *wake {
+                    Wake::Waiting => completion.cv.wait(&mut wake),
+                    Wake::Lead => break,
+                    Wake::Done(result) => return result.map(|()| lsn),
+                }
+            }
         }
-        done.expect("loop exits only when set").map(|()| lsn)
+        // A leader's own record is always in the batch it flushes: it is
+        // the queue's oldest entry.
+        self.flush().map(|()| lsn)
+    }
+
+    /// One group commit, run by the leader on its own thread: gather,
+    /// sync, complete every waiter in the batch, then pass the lead on.
+    fn flush(&self) -> Result<(), WalError> {
+        // Gather window: let concurrent committers join the batch.
+        if !self.commit_delay.is_zero() {
+            sim_sleep(self.commit_delay);
+        }
+        let batch = std::mem::take(&mut self.queue.lock().pending);
+        let result = self.sync_batch(&batch);
+        for p in &batch {
+            p.completion.signal(Wake::Done(result));
+        }
+        // Hand off rather than loop, so the leader waits for one flush
+        // only. The next flush starts at the instant this one ends, with
+        // the oldest waiter's record in it.
+        let mut queue = self.queue.lock();
+        match queue.pending.first() {
+            Some(next) => next.completion.signal(Wake::Lead),
+            None => queue.flushing = false,
+        }
+        result
+    }
+
+    /// Writes one batch to the device and the disk image.
+    fn sync_batch(&self, batch: &[Pending]) -> Result<(), WalError> {
+        debug_assert!(!batch.is_empty());
+        // A crash armed at DuringWalSync tears the batch: every record but
+        // the last reaches the disk image in full, then the write stops
+        // half-way through the last record's frame. No waiter learns its
+        // fate — they all see Crashed — and recovery must truncate the
+        // partial frame by checksum.
+        let crash_mid_sync = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.at_crash_point(CrashPoint::DuringWalSync));
+        if crash_mid_sync {
+            let mut image = self.image.lock();
+            let mut appended = 0u64;
+            for (i, p) in batch.iter().enumerate() {
+                let frame = p.record.encode();
+                if i + 1 < batch.len() {
+                    image.bytes.extend_from_slice(&frame);
+                    let end = image.end();
+                    image.records.push((p.record.clone(), end));
+                    appended += frame.len() as u64;
+                } else {
+                    image.bytes.extend_from_slice(&frame[..frame.len() / 2]);
+                    appended += (frame.len() / 2) as u64;
+                }
+            }
+            drop(image);
+            self.stats.lock().appended_bytes += appended;
+            return Err(WalError::Crashed);
+        }
+        if self.crashed() {
+            return Err(WalError::Crashed);
+        }
+
+        let bytes: u64 = batch.iter().map(|p| p.record.size_bytes() as u64).sum();
+        let synced = self.device.sync(batch.len() as u64, bytes);
+        let mut appended = 0u64;
+        let result = match synced {
+            Ok(()) => {
+                let mut image = self.image.lock();
+                for p in batch {
+                    let before = image.bytes.len();
+                    p.record.encode_into(&mut image.bytes);
+                    appended += (image.bytes.len() - before) as u64;
+                    let end = image.end();
+                    image.records.push((p.record.clone(), end));
+                }
+                Ok(())
+            }
+            Err(_) => Err(WalError::SyncFailed),
+        };
+        let mut stats = self.stats.lock();
+        stats.batches += 1;
+        if result.is_ok() {
+            stats.records += batch.len() as u64;
+            stats.max_batch = stats.max_batch.max(batch.len() as u64);
+            stats.appended_bytes += appended;
+        } else {
+            stats.failed_batches += 1;
+        }
+        result
     }
 
     /// Snapshot of the durable log records still inside the surviving
     /// window, in LSN order (recovery and tests). Checkpoint truncation
     /// drops the covered prefix from this view too.
     pub fn log_snapshot(&self) -> Vec<LogRecord> {
-        self.shared
-            .image
+        self.image
             .lock()
             .records
             .iter()
@@ -268,27 +372,27 @@ impl Wal {
     /// Snapshot of the durable byte image — the "disk" window that crash
     /// recovery scans. After a mid-sync crash this ends in a torn tail.
     pub fn disk_snapshot(&self) -> Vec<u8> {
-        self.shared.image.lock().bytes.clone()
+        self.image.lock().bytes.clone()
     }
 
     /// Logical byte offset of the first surviving log byte (0 until the
     /// first truncation).
     pub fn wal_base(&self) -> u64 {
-        self.shared.image.lock().base
+        self.image.lock().base
     }
 
     /// Logical byte offset one past the last durable log byte. Monotone
     /// across truncation; the checkpointer reads this as the redo
     /// resume-point `O` before choosing its snapshot timestamp.
     pub fn log_end_offset(&self) -> u64 {
-        self.shared.image.lock().end()
+        self.image.lock().end()
     }
 
     /// The complete durable state — log window, checkpoint slots, and
     /// manifests — as crash recovery would find it.
     pub fn durable_image(&self) -> DurableImage {
-        let ckpt = self.shared.ckpt.lock();
-        let image = self.shared.image.lock();
+        let ckpt = self.ckpt.lock();
+        let image = self.image.lock();
         DurableImage {
             manifest: ckpt.manifest.clone(),
             prev_manifest: ckpt.prev_manifest.clone(),
@@ -307,20 +411,19 @@ impl Wal {
     /// torn write here ([`sicost_common::CrashPoint::DuringCheckpointWrite`])
     /// leaves the previous generation fully recoverable.
     pub fn write_checkpoint(&self, frame: &[u8]) -> Result<u8, WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        let mut ckpt = self.shared.ckpt.lock();
+        let mut ckpt = self.ckpt.lock();
         let slot = ckpt.next_slot;
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::DuringCheckpointWrite) {
                 // The crash lands mid-write: the slot holds a torn prefix.
                 ckpt.slots[slot as usize] = frame[..frame.len() / 2].to_vec();
                 return Err(WalError::Crashed);
             }
         }
-        self.shared
-            .device
+        self.device
             .sync(1, frame.len() as u64)
             .map_err(|_| WalError::SyncFailed)?;
         ckpt.slots[slot as usize] = frame.to_vec();
@@ -333,20 +436,19 @@ impl Wal {
     /// [`sicost_common::CrashPoint::BeforeManifestSwap`] fires before any
     /// byte changes, so recovery still sees the old generation.
     pub fn swap_manifest(&self, manifest: &Manifest) -> Result<(), WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::BeforeManifestSwap) {
                 return Err(WalError::Crashed);
             }
         }
         let encoded = manifest.encode();
-        self.shared
-            .device
+        self.device
             .sync(1, encoded.len() as u64)
             .map_err(|_| WalError::SyncFailed)?;
-        let mut ckpt = self.shared.ckpt.lock();
+        let mut ckpt = self.ckpt.lock();
         ckpt.prev_manifest = std::mem::take(&mut ckpt.manifest);
         ckpt.manifest = encoded;
         // The slot the new manifest references is now live; the other one
@@ -362,15 +464,15 @@ impl Wal {
     /// fires *before* any byte is dropped: a crash there recovers from the
     /// new manifest over the still-intact log. Returns the bytes dropped.
     pub fn truncate_to(&self, cut: u64) -> Result<u64, WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::AfterManifestSwapBeforeTruncate) {
                 return Err(WalError::Crashed);
             }
         }
-        let mut image = self.shared.image.lock();
+        let mut image = self.image.lock();
         if cut <= image.base {
             return Ok(0);
         }
@@ -384,121 +486,18 @@ impl Wal {
         image.base = cut;
         image.records.retain(|(_, end)| *end > cut);
         drop(image);
-        self.shared.stats.lock().truncated_bytes += dropped as u64;
+        self.stats.lock().truncated_bytes += dropped as u64;
         Ok(dropped as u64)
     }
 
     /// Cumulative WAL statistics.
     pub fn stats(&self) -> WalStats {
-        *self.shared.stats.lock()
+        *self.stats.lock()
     }
 
     /// Cumulative device statistics.
     pub fn device_stats(&self) -> DeviceStats {
-        self.shared.device.stats()
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.kick.notify_all();
-        if let Some(h) = self.daemon.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn complete(batch: Vec<Pending>, result: Result<(), WalError>) {
-    for p in batch {
-        let mut done = p.completion.done.lock();
-        *done = Some(result);
-        p.completion.cv.notify_one();
-    }
-}
-
-fn group_commit_loop(shared: &Shared) {
-    loop {
-        // Wait for work (or shutdown).
-        {
-            let mut queue = shared.queue.lock();
-            while queue.is_empty() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                shared.kick.wait(&mut queue);
-            }
-        }
-        // Gather window: let concurrent committers join the batch.
-        if !shared.commit_delay.is_zero() {
-            sim_sleep(shared.commit_delay);
-        }
-        let batch: Vec<Pending> = std::mem::take(&mut *shared.queue.lock());
-        debug_assert!(!batch.is_empty());
-
-        // A crash armed at DuringWalSync tears the batch: every record but
-        // the last reaches the disk image in full, then the write stops
-        // half-way through the last record's frame. No waiter learns its
-        // fate — they all see Crashed — and recovery must truncate the
-        // partial frame by checksum.
-        let crash_mid_sync = shared
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.at_crash_point(CrashPoint::DuringWalSync));
-        if crash_mid_sync {
-            let mut image = shared.image.lock();
-            let mut appended = 0u64;
-            for (i, p) in batch.iter().enumerate() {
-                let frame = p.record.encode();
-                if i + 1 < batch.len() {
-                    image.bytes.extend_from_slice(&frame);
-                    let end = image.end();
-                    image.records.push((p.record.clone(), end));
-                    appended += frame.len() as u64;
-                } else {
-                    image.bytes.extend_from_slice(&frame[..frame.len() / 2]);
-                    appended += (frame.len() / 2) as u64;
-                }
-            }
-            drop(image);
-            shared.stats.lock().appended_bytes += appended;
-            complete(batch, Err(WalError::Crashed));
-            continue;
-        }
-        if shared.crashed() {
-            complete(batch, Err(WalError::Crashed));
-            continue;
-        }
-
-        let bytes: u64 = batch.iter().map(|p| p.record.size_bytes() as u64).sum();
-        let synced = shared.device.sync(batch.len() as u64, bytes);
-        let mut appended = 0u64;
-        let result = match synced {
-            Ok(()) => {
-                let mut image = shared.image.lock();
-                for p in &batch {
-                    let before = image.bytes.len();
-                    p.record.encode_into(&mut image.bytes);
-                    appended += (image.bytes.len() - before) as u64;
-                    let end = image.end();
-                    image.records.push((p.record.clone(), end));
-                }
-                Ok(())
-            }
-            Err(_) => Err(WalError::SyncFailed),
-        };
-        {
-            let mut stats = shared.stats.lock();
-            stats.batches += 1;
-            if result.is_ok() {
-                stats.records += batch.len() as u64;
-                stats.max_batch = stats.max_batch.max(batch.len() as u64);
-                stats.appended_bytes += appended;
-            } else {
-                stats.failed_batches += 1;
-            }
-        }
-        complete(batch, result);
+        self.device.stats()
     }
 }
 

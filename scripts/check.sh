@@ -27,6 +27,9 @@ cargo build --release
 echo "==> cargo test -q (workspace: unit, integration, crash-recovery torture, sim smoke, server smoke, robustness cross-validation)"
 cargo test --workspace -q
 
+echo "==> benchmark checks (perfbench: model replay bit for bit, durability, money audit, certification)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The smoke reports and their fold go under target/bench-smoke/, so a
 # check never rewrites the committed bench_results/ or BENCH_smallbank.json.
 # Cargo runs benches from the package directory, hence the absolute path.

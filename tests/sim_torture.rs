@@ -29,6 +29,7 @@ use sicost::sim::{
 use sicost::smallbank::schema::{customer_name, total_balance};
 use sicost::smallbank::{recover_database, SmallBank, SmallBankConfig, Strategy};
 use sicost::storage::{PagedConfig, StoragePolicy};
+use sicost::wal::WalConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -202,7 +203,7 @@ fn run_schedule(point: CrashPoint, round: u64, vacuum: bool, paged: bool) -> Fin
         );
 
         // Recover inside the simulation: replay and the recovered
-        // database's WAL daemon are part of the same schedule.
+        // database's commits are part of the same schedule.
         let image = bank.db().durable_image();
         let (rdb, rtables, rec) = recover_database(
             EngineConfig::functional().with_storage(storage_for(paged)),
@@ -224,10 +225,6 @@ fn run_schedule(point: CrashPoint, round: u64, vacuum: bool, paged: bool) -> Fin
             total_balance(rbank.db(), rbank.tables()).as_cents(),
             recovered + 7
         );
-        // Drop both databases before the closure returns so their WAL
-        // daemons join and the scheduler sees every task finish.
-        drop(rbank);
-        drop(bank);
         (history, audit, recovered)
     });
 
@@ -380,5 +377,44 @@ fn different_rounds_explore_different_schedules() {
     assert_ne!(
         a.report.trace_hash, b.report.trace_hash,
         "rounds 0 and 1 produced identical schedules"
+    );
+}
+
+/// Group commit runs on the committing clients' own threads: a database
+/// adds no task to a simulated run, which counts exactly the root and
+/// its clients — yet the clients' commits still share device syncs.
+#[test]
+fn group_commit_adds_no_task_beyond_the_clients() {
+    const CLIENTS: usize = 4;
+    const DEPOSITS: u64 = 10;
+    let (wal, report) = Sim::new(0x6C0).run(|| {
+        let bank = Arc::new(SmallBank::new(
+            &SmallBankConfig::small(CUSTOMERS),
+            EngineConfig::functional().with_wal(WalConfig::paper_default()),
+            Strategy::BaseSI,
+        ));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|tid| {
+                let bank = Arc::clone(&bank);
+                sim_spawn(&format!("client-{tid}"), move || {
+                    for _ in 0..DEPOSITS {
+                        bank.deposit_checking(&customer_name(tid as u64), Money::cents(1))
+                            .expect("disjoint customers never conflict");
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().expect("client panicked");
+        }
+        bank.db().wal_stats()
+    });
+    assert_eq!(report.tasks, CLIENTS + 1, "root plus clients, no WAL task");
+    assert_eq!(wal.records, CLIENTS as u64 * DEPOSITS);
+    assert!(
+        wal.batches < wal.records,
+        "commits share syncs: {} batches for {} records",
+        wal.batches,
+        wal.records
     );
 }
