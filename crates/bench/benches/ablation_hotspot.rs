@@ -2,8 +2,8 @@
 //! (hotspot 1000) and the Figure 7 regime (hotspot 10): where does the
 //! gap between well-chosen and blunt strategies open up?
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_driver::{repeat_summary, RetryPolicy, RunConfig, Series};
+use sicost_bench::{BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{repeat_summary, RetryPolicy, RunConfig};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -25,7 +25,7 @@ fn main() {
     };
     let mut all = Vec::new();
     for strategy in strategies {
-        let mut series = Series::new(strategy.name());
+        let mut series = ReportSeries::new(strategy.name());
         for &hotspot in hotspots {
             let params = WorkloadParams {
                 customers: 18_000,
@@ -72,6 +72,6 @@ fn main() {
         mode,
     );
     report.expectation = expectation.into();
-    report.push_series("hotspot", &all);
+    report.push_series("hotspot", all);
     report.emit();
 }

@@ -3,11 +3,11 @@
 //! serialization points dominate) as MPL and the serialization-point
 //! stripe count vary. `shards=1` degenerates to the old global commit
 //! mutex / global lock-manager / global SSI maps; the per-lock-class
-//! wait breakdown printed at the end shows where the blocked wall-clock
+//! wait breakdown tables at the end show where the blocked wall-clock
 //! went in each extreme.
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_driver::{repeat_summary, run, LockWaitReport, Report, RetryPolicy, RunConfig, Series};
+use sicost_bench::{BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{repeat_summary, run, RetryPolicy, RunConfig};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     MixWeights, SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy,
@@ -47,7 +47,7 @@ fn main() {
 
     let mut all = Vec::new();
     for &shards in shard_counts {
-        let mut series = Series::new(format!("shards={shards}"));
+        let mut series = ReportSeries::new(format!("shards={shards}"));
         for &mpl in mpls {
             let (summary, _) = repeat_summary(
                 |r| make_driver(customers, shards, r),
@@ -72,13 +72,13 @@ fn main() {
         "Ablation A6 — serialization-point sharding sweep (BaseSI, uniform mix)",
         mode,
     );
-    report.push_series("MPL", &all);
     report.notes.push(format!(
         "speedup at MPL {top_mpl:.0}: {:.2}x ({} vs {})",
         striped / single.max(1e-9),
         all.last().unwrap().label,
         all.first().unwrap().label,
     ));
+    report.push_series("MPL", all);
 
     // Where did the blocked wall-clock go? One dedicated run per extreme
     // at the highest MPL, reading the engine's lock-class counters.
@@ -92,10 +92,37 @@ fn main() {
                 .with_seed(0xA6)
                 .with_retry(RetryPolicy::disabled()),
         );
-        let breakdown = LockWaitReport(&driver.bank().db().metrics().lock_waits).render();
-        report.notes.push(format!(
-            "lock-wait breakdown, shards={shards}, MPL {top_mpl:.0}:\n{breakdown}"
-        ));
+        let rows = driver
+            .bank()
+            .db()
+            .metrics()
+            .lock_waits
+            .iter()
+            .map(|c| {
+                vec![
+                    c.class.clone(),
+                    c.acquisitions.to_string(),
+                    c.contended.to_string(),
+                    format!("{:.1?}", c.wait),
+                    format!("{:.1?}", c.mean_wait()),
+                    format!("{:.1}%", c.contention_ratio() * 100.0),
+                ]
+            })
+            .collect();
+        report.push_table(
+            format!("lock-wait breakdown, shards={shards}, MPL {top_mpl:.0}"),
+            [
+                "lock class",
+                "acquired",
+                "contended",
+                "total wait",
+                "mean wait",
+                "ratio",
+            ]
+            .map(String::from)
+            .to_vec(),
+            rows,
+        );
     }
     report.expectation = "See the printed expectation: shards=1 flattens against the \
          global commit/install serialization points; striping dissolves the wait."

@@ -7,8 +7,8 @@
 //! and thus will have very poor performance."* This harness quantifies
 //! "very poor".
 
-use sicost_bench::{BenchMode, BenchReport};
-use sicost_driver::{repeat_summary, RetryPolicy, RunConfig, Series};
+use sicost_bench::{BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{repeat_summary, RetryPolicy, RunConfig};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -29,7 +29,7 @@ fn main() {
     ];
     let mut all = Vec::new();
     for (label, strategy, table_lock) in lines {
-        let mut series = Series::new(label);
+        let mut series = ReportSeries::new(label);
         for &mpl in &mode.mpls() {
             let engine = engine.clone();
             let (summary, _) = repeat_summary(
@@ -67,6 +67,6 @@ fn main() {
         mode,
     );
     report.expectation = expectation.into();
-    report.push_series("MPL", &all);
+    report.push_series("MPL", all);
     report.emit();
 }

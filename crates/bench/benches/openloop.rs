@@ -16,10 +16,8 @@
 //! sheds the excess and keeps p99 bounded by the queue capacity at
 //! roughly the same goodput.
 
-use sicost_bench::{summarize, BenchMode, BenchReport};
-use sicost_driver::{
-    run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, RunConfig, Series,
-};
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, RunConfig};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -166,13 +164,13 @@ fn main() {
             "{strategy} closed peak: {peak:.0} tps at MPL {WORKERS}"
         ));
 
-        let mut goodput_series: Vec<Series> = policies
+        let mut goodput_series: Vec<ReportSeries> = policies
             .iter()
-            .map(|(pname, _)| Series::new(format!("{strategy}/{pname} goodput tps")))
+            .map(|(pname, _)| ReportSeries::new(format!("{strategy}/{pname} goodput tps")))
             .collect();
-        let mut p99_series: Vec<Series> = policies
+        let mut p99_series: Vec<ReportSeries> = policies
             .iter()
-            .map(|(pname, _)| Series::new(format!("{strategy}/{pname} p99 ms")))
+            .map(|(pname, _)| ReportSeries::new(format!("{strategy}/{pname} p99 ms")))
             .collect();
 
         for &mult in &multipliers {
@@ -214,7 +212,7 @@ fn main() {
         series.extend(goodput_series);
         series.extend(p99_series);
     }
-    report.push_series("offered load (× closed-system peak)", &series);
+    report.push_series("offered load (× closed-system peak)", series);
     report.push_table(
         "open-loop sweep",
         vec![

@@ -24,8 +24,8 @@
 //!
 //! [`cool_pages`]: sicost_engine::Database::cool_pages
 
-use sicost_bench::{summarize, BenchMode, BenchReport};
-use sicost_driver::{run, RetryPolicy, RunConfig, Series};
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{run, RetryPolicy, RunConfig};
 use sicost_engine::{CcMode, EngineConfig};
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -212,8 +212,8 @@ fn main() {
     for &(label, cc, strategy) in LINES {
         let ws = working_set_pages(customers, pages_per_table, strategy);
         assert!(ws > 8, "{label}: working set of {ws} pages is too small");
-        let mut hits = Series::new(format!("{label} warm hit rate"));
-        let mut tps = Series::new(format!("{label} warm tps"));
+        let mut hits = ReportSeries::new(format!("{label} warm hit rate"));
+        let mut tps = ReportSeries::new(format!("{label} warm tps"));
         let mut cells = Vec::new();
         for &ratio in RATIOS {
             let cell = run_cell(
@@ -292,9 +292,8 @@ fn main() {
         hit_series.push(hits);
         tps_series.push(tps);
     }
-    report.x_label = "working-set-to-pool ratio".into();
-    report.push_series("working-set-to-pool ratio", &hit_series);
-    report.push_series("working-set-to-pool ratio", &tps_series);
+    report.push_series("working-set-to-pool ratio", hit_series);
+    report.push_series("working-set-to-pool ratio", tps_series);
     report.push_table(
         "pool pressure sweep",
         vec![

@@ -19,9 +19,8 @@
 //! pages and writes a fixed-size frame — the incremental-checkpoint
 //! claim, asserted as a >10x frame-size gap on the same workload.
 
-use sicost_bench::{summarize, BenchMode, BenchReport};
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
 use sicost_common::{Money, Xoshiro256};
-use sicost_driver::Series;
 use sicost_engine::{CheckpointPolicy, EngineConfig};
 use sicost_smallbank::schema::{customer_name, recover_database, total_balance};
 use sicost_smallbank::{SmallBank, SmallBankConfig, Strategy};
@@ -132,11 +131,13 @@ fn main() {
         BenchMode::Quick => (2_000, 64),
         BenchMode::Full => (8_000, 64),
     };
-    // x = checkpoint interval in commits; 0 = the init-only baseline.
+    // x = checkpoint interval in commits; 0 = the init-only baseline,
+    // which must run first. Scenarios run in ascending x, the order a
+    // report series requires.
     let scenarios: Vec<(String, Option<u64>)> = vec![
         ("init-only".into(), None),
-        (format!("every-{}", ops / 8), Some(ops / 8)),
         (format!("every-{}", ops / 32), Some(ops / 32)),
+        (format!("every-{}", ops / 8), Some(ops / 8)),
     ];
 
     let mut report = BenchReport::new(
@@ -144,8 +145,8 @@ fn main() {
         "A8 — restart cost: full-history replay vs post-checkpoint suffix replay",
         mode,
     );
-    let mut bytes_series = Series::new("replayed bytes");
-    let mut time_series = Series::new("recovery µs");
+    let mut bytes_series = ReportSeries::new("replayed bytes");
+    let mut time_series = ReportSeries::new("recovery µs");
     let mut rows = Vec::new();
     let mut baseline_bytes = f64::NAN;
     for (label, every) in &scenarios {
@@ -204,8 +205,10 @@ fn main() {
     assert_eq!(full_img.pages_flushed, 0, "in-memory flushes no pages");
     eprintln!("  [A8] checkpoint frames measured after {ckpt_ops} commits");
 
-    report.x_label = "checkpoint interval (commits; 0 = init-only)".into();
-    report.push_series("interval", &[bytes_series, time_series]);
+    report.push_series(
+        "checkpoint interval (commits; 0 = init-only)",
+        [bytes_series, time_series],
+    );
     report.push_table(
         "recovery cost",
         vec![

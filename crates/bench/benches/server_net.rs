@@ -17,10 +17,10 @@
 //!   reported per-transaction cost is the deterministic protocol cost in
 //!   model time, byte-identical across same-seed runs.
 
-use sicost_bench::{summarize, BenchMode, BenchReport};
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
 use sicost_common::sync::{sim_spawn, SimJoinHandle};
 use sicost_common::Xoshiro256;
-use sicost_driver::{run, Outcome, RunConfig, Series};
+use sicost_driver::{run, Outcome, RunConfig};
 use sicost_engine::{CcMode, EngineConfig};
 use sicost_server::{
     classify_remote, serve_connection, Client, ClientError, ClientPool, NetError, RemoteBank,
@@ -255,13 +255,13 @@ fn main() {
                 note,
             ]);
             if let Some(runs) = runs {
-                let mut s = Series::new(format!("{cc_name}/{tier} tps"));
+                let mut s = ReportSeries::new(format!("{cc_name}/{tier} tps"));
                 s.push(1.0, summarize(runs));
                 series.push(s);
             }
         }
     }
-    report.push_series("tier", &series);
+    report.push_series("tier", series);
     report.push_table(
         "network-tier cost",
         vec![

@@ -23,11 +23,8 @@
 //! Every sample is also appended to `target/vacuum-trace/trace.jsonl`;
 //! CI uploads that file when the harness fails.
 
-use sicost_bench::{summarize, BenchMode, BenchReport};
-use sicost_driver::{
-    run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, Report, RunConfig, Series,
-    VacuumReport,
-};
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
+use sicost_driver::{run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, RunConfig};
 use sicost_engine::{CcMode, EngineConfig, VacuumPolicy};
 use sicost_smallbank::{
     SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
@@ -255,7 +252,6 @@ fn main() {
 
     // --- Worker-scaling axis: informational, graceful on one core.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut scaling = Series::new("GC-on goodput tps");
     let mut scaling_rows = Vec::new();
     for workers in [1usize, 2, 4] {
         let (bank, driver) = build_driver(
@@ -271,7 +267,6 @@ fn main() {
             .with_admission(AdmissionPolicy::DropOnFull { capacity: 64 })
             .with_seed(0xA1277 + workers as u64);
         let m = run_open(&driver, &cfg);
-        scaling.push(workers as f64, summarize(&[m.goodput()]));
         scaling_rows.push(vec![
             workers.to_string(),
             cores.to_string(),
@@ -279,10 +274,6 @@ fn main() {
         ]);
         drop((bank, driver));
     }
-
-    // The driver's GC view of the final GC-on engine.
-    let final_metrics = on_bank.db().metrics();
-    println!("\n{}", VacuumReport(&final_metrics).render());
 
     // --- Report.
     let mut report = BenchReport::new(
@@ -292,10 +283,10 @@ fn main() {
         mode,
     );
     let mut chain_series = vec![
-        Series::new("GC-off max chain"),
-        Series::new("GC-on max chain"),
-        Series::new("GC-off siread"),
-        Series::new("GC-on siread"),
+        ReportSeries::new("GC-off max chain"),
+        ReportSeries::new("GC-on max chain"),
+        ReportSeries::new("GC-off siread"),
+        ReportSeries::new("GC-on siread"),
     ];
     let mut rows = Vec::new();
     for (label, samples) in [("off", &off), ("on", &on)] {
@@ -315,8 +306,7 @@ fn main() {
             ]);
         }
     }
-    report.push_series("window", &chain_series);
-    report.push_series("workers", &[scaling]);
+    report.push_series("window", chain_series);
     report.push_table(
         "GC on/off windows",
         vec![
@@ -335,6 +325,28 @@ fn main() {
         "worker scaling (informational)",
         vec!["workers".into(), "host cores".into(), "goodput tps".into()],
         scaling_rows,
+    );
+    // The GC and memory counters of the final GC-on engine.
+    let m = on_bank.db().metrics();
+    report.push_table(
+        "GC-on engine counters",
+        vec!["gc / memory counter".into(), "value".into()],
+        [
+            ("vacuum runs", m.vacuum_runs.to_string()),
+            ("versions reclaimed", m.versions_pruned.to_string()),
+            ("ssi records reclaimed", m.ssi_txns_reclaimed.to_string()),
+            ("gc pause total", format!("{:.1?}", m.vacuum_pause)),
+            ("gc pause mean", format!("{:.1?}", m.mean_vacuum_pause())),
+            ("max chain length", m.max_chain_len.to_string()),
+            ("siread entries", m.siread_entries.to_string()),
+            ("publish batches", m.publish_batches.to_string()),
+            (
+                "mean publish batch",
+                format!("{:.2}", m.mean_publish_batch()),
+            ),
+        ]
+        .map(|(label, value)| vec![label.to_string(), value])
+        .to_vec(),
     );
     let expectation = "With GC off, the max version-chain length and the SSI \
          manager's SIREAD footprint grow monotonically with the commit \

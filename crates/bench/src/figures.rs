@@ -6,8 +6,8 @@
 //! each of those bench targets is just `figures::main("<name>")`.
 
 use crate::mode::BenchMode;
-use crate::report::{BenchReport, CertRecord, LatencyRecord};
-use sicost_driver::{repeat_summary, run, RetryPolicy, RunConfig, Series};
+use crate::report::{BenchReport, CertRecord, LatencyRecord, ReportSeries};
+use sicost_driver::{repeat_summary, run, RetryPolicy, RunConfig};
 use sicost_engine::{CcMode, EngineConfig, HistoryEvent, HistoryObserver};
 use sicost_mvsg::SamplingCertifier;
 use sicost_smallbank::{
@@ -262,7 +262,7 @@ pub fn main(name: &str) {
     let mode = BenchMode::from_env();
     let mut report = BenchReport::new(spec.name, spec.title, mode);
     report.expectation = spec.expectation.into();
-    report.push_series("MPL", &run_figure(&spec, mode));
+    report.push_series("MPL", run_figure(&spec, mode));
     if spec.certified {
         (report.certification, report.latency) = certify_figure(&spec, mode);
     }
@@ -294,14 +294,15 @@ fn scaled(params: WorkloadParams, mode: BenchMode) -> WorkloadParams {
 }
 
 /// Runs a figure: per regime, per line, per MPL, `repeats` independent
-/// runs on fresh databases; returns one [`Series`] per regime and line.
-pub fn run_figure(spec: &FigureSpec, mode: BenchMode) -> Vec<Series> {
+/// runs on fresh databases; returns one [`ReportSeries`] per regime and
+/// line.
+pub fn run_figure(spec: &FigureSpec, mode: BenchMode) -> Vec<ReportSeries> {
     let mut series = Vec::new();
     for regime in &spec.regimes {
         eprintln!("{} — {}", regime.id, regime.title);
         let params = scaled(regime.params, mode);
         for line in &spec.lines {
-            let mut s = Series::new(spec.label(regime, line));
+            let mut s = ReportSeries::new(spec.label(regime, line));
             for &mpl in &mode.mpls() {
                 let cfg = RunConfig::new(mpl)
                     .with_ramp_up(mode.ramp_up())
@@ -556,7 +557,7 @@ mod tests {
             "functional engine must commit a lot"
         );
         let mut report = BenchReport::new(spec.name, spec.title, BenchMode::Smoke);
-        report.push_series("MPL", &series);
+        report.push_series("MPL", series);
         assert!(report.render().contains("machinery smoke test"));
     }
 

@@ -15,7 +15,6 @@
 
 use crate::mode::BenchMode;
 use sicost_common::{Json, Summary};
-use sicost_driver::{ascii_chart, csv_table, render_table, Series};
 use sicost_mvsg::CertStats;
 use sicost_trace::KindSummary;
 use std::fmt::Write as _;
@@ -48,39 +47,147 @@ pub struct ReportSeries {
 }
 
 impl ReportSeries {
-    /// The series in the driver's form, for its table, chart and CSV
-    /// renderers.
-    fn to_series(&self) -> Series {
-        let mut s = Series::new(self.label.clone());
-        for p in &self.points {
-            s.push(
-                p.x,
-                Summary {
-                    n: p.n,
-                    mean: p.mean,
-                    stddev: 0.0,
-                    min: p.mean,
-                    max: p.mean,
-                    ci95: p.ci95,
-                },
-            );
+    /// An empty series.
+    pub fn new(label: impl Into<String>) -> Self {
+        Self {
+            label: label.into(),
+            points: Vec::new(),
         }
-        s
+    }
+
+    /// Appends the point `(x, y)`; x must exceed every earlier x.
+    pub fn push(&mut self, x: f64, y: Summary) {
+        self.points.push(ReportPoint {
+            x,
+            mean: y.mean,
+            ci95: y.ci95,
+            n: y.n,
+        });
+    }
+
+    /// Peak mean across points (0.0 for an empty series).
+    pub fn peak(&self) -> f64 {
+        self.points.iter().map(|p| p.mean).fold(0.0, f64::max)
+    }
+
+    /// Mean at the given x, if present.
+    pub fn at(&self, x: f64) -> Option<f64> {
+        self.points
+            .iter()
+            .find(|p| (p.x - x).abs() < 1e-9)
+            .map(|p| p.mean)
     }
 }
 
 /// `series` as a percentage of `base` at each x where `base` is positive.
-fn relative_to(series: &Series, base: &Series) -> Series {
-    let mut r = Series::new(series.label.clone());
+fn relative_to(series: &ReportSeries, base: &ReportSeries) -> ReportSeries {
+    let mut r = ReportSeries::new(series.label.clone());
     for p in &series.points {
         if let Some(b) = base.at(p.x).filter(|b| *b > 0.0) {
-            let mut y = p.y;
-            y.mean = 100.0 * p.y.mean / b;
-            y.ci95 = 100.0 * p.y.ci95 / b;
-            r.push(p.x, y);
+            r.points.push(ReportPoint {
+                x: p.x,
+                mean: 100.0 * p.mean / b,
+                ci95: 100.0 * p.ci95 / b,
+                n: p.n,
+            });
         }
     }
     r
+}
+
+/// Series as a table: one row per x, one column per series, cells
+/// `mean ±ci95` (`-` where a series has no point at that x).
+fn series_table(title: String, x_label: &str, series: &[ReportSeries]) -> ReportTable {
+    let mut xs: Vec<f64> = series
+        .iter()
+        .flat_map(|s| s.points.iter().map(|p| p.x))
+        .collect();
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite x"));
+    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+    let mut columns = vec![x_label.to_string()];
+    columns.extend(series.iter().map(|s| s.label.clone()));
+    let rows = xs
+        .iter()
+        .map(|&x| {
+            let mut row = vec![format!("{x}")];
+            row.extend(series.iter().map(
+                |s| match s.points.iter().find(|p| (p.x - x).abs() < 1e-9) {
+                    Some(p) => format!("{:.1} ±{:.1}", p.mean, p.ci95),
+                    None => "-".into(),
+                },
+            ));
+            row
+        })
+        .collect();
+    ReportTable {
+        title,
+        columns,
+        rows,
+    }
+}
+
+/// Renders series as CSV: `x,label,mean,ci95,n` rows.
+fn csv_table(x_label: &str, series: &[ReportSeries]) -> String {
+    let mut out = format!("{x_label},series,mean,ci95,n\n");
+    for s in series {
+        for p in &s.points {
+            out.push_str(&format!(
+                "{},{},{:.3},{:.3},{}\n",
+                p.x, s.label, p.mean, p.ci95, p.n
+            ));
+        }
+    }
+    out
+}
+
+/// A rough terminal line chart (height rows, one glyph per series),
+/// enough to eyeball the figure shapes in CI logs.
+fn ascii_chart(series: &[ReportSeries], height: usize) -> String {
+    let glyphs = ['*', 'o', '+', 'x', '#', '@', '%', '&', '~'];
+    let all_points: Vec<(f64, f64)> = series
+        .iter()
+        .flat_map(|s| s.points.iter().map(|p| (p.x, p.mean)))
+        .collect();
+    if all_points.is_empty() || height < 2 {
+        return String::from("(no data)\n");
+    }
+    let x_min = all_points.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+    let x_max = all_points.iter().map(|p| p.0).fold(0.0, f64::max);
+    let y_max = all_points.iter().map(|p| p.1).fold(0.0, f64::max).max(1e-9);
+    let width = 64usize;
+    let mut grid = vec![vec![' '; width]; height];
+    for (si, s) in series.iter().enumerate() {
+        let g = glyphs[si % glyphs.len()];
+        for p in &s.points {
+            let xf = if (x_max - x_min).abs() < 1e-9 {
+                0.0
+            } else {
+                (p.x - x_min) / (x_max - x_min)
+            };
+            let col = ((width - 1) as f64 * xf).round() as usize;
+            let row = ((height - 1) as f64 * (1.0 - p.mean / y_max)).round() as usize;
+            grid[row.min(height - 1)][col] = g;
+        }
+    }
+    let mut out = String::new();
+    out.push_str(&format!("{y_max:>10.0} ┤\n"));
+    for row in grid {
+        out.push_str("           │");
+        out.extend(row);
+        out.push('\n');
+    }
+    out.push_str("           └");
+    out.push_str(&"─".repeat(width));
+    out.push('\n');
+    out.push_str(&format!("            {x_min:<10.0}{:>54.0}\n", x_max));
+    for (si, s) in series.iter().enumerate() {
+        out.push_str(&format!(
+            "            {} {}\n",
+            glyphs[si % glyphs.len()],
+            s.label
+        ));
+    }
+    out
 }
 
 /// A free-form table for harnesses whose output is not an x/y sweep
@@ -345,23 +452,27 @@ impl BenchReport {
         }
     }
 
-    /// Adds the figure's swept series (and the x-axis label they share).
-    pub fn push_series(&mut self, x_label: &str, series: &[Series]) {
+    /// Adds the figure's swept series under the x-axis label they share.
+    ///
+    /// Panics if the report already holds series under a different x
+    /// label, or if a series' x values do not strictly ascend: one
+    /// report has one x axis.
+    pub fn push_series(&mut self, x_label: &str, series: impl IntoIterator<Item = ReportSeries>) {
+        assert!(
+            self.series.is_empty() || self.x_label == x_label,
+            "report `{}`: series under x label {x_label:?} conflict with {:?}",
+            self.name,
+            self.x_label
+        );
         self.x_label = x_label.to_string();
         for s in series {
-            self.series.push(ReportSeries {
-                label: s.label.clone(),
-                points: s
-                    .points
-                    .iter()
-                    .map(|p| ReportPoint {
-                        x: p.x,
-                        mean: p.y.mean,
-                        ci95: p.y.ci95,
-                        n: p.y.n,
-                    })
-                    .collect(),
-            });
+            assert!(
+                s.points.windows(2).all(|w| w[0].x < w[1].x),
+                "report `{}`: series `{}` x values must strictly ascend",
+                self.name,
+                s.label
+            );
+            self.series.push(s);
         }
     }
 
@@ -386,18 +497,20 @@ impl BenchReport {
     pub fn render(&self) -> String {
         let rule = "=".repeat(66);
         let mut out = format!("\n{rule}\n{}\n{rule}\n", self.title);
-        if !self.series.is_empty() {
-            let series: Vec<Series> = self.series.iter().map(ReportSeries::to_series).collect();
-            let _ = writeln!(out, "{}", render_table(&self.x_label, &series));
-            if let [base, rest @ ..] = series.as_slice() {
-                if !rest.is_empty() {
-                    let rel: Vec<Series> = rest.iter().map(|s| relative_to(s, base)).collect();
-                    let _ = writeln!(out, "Relative to {} (the paper's (b) panel):", base.label);
-                    let _ = writeln!(out, "{}", render_table(&self.x_label, &rel));
-                }
+        if let [base, rest @ ..] = self.series.as_slice() {
+            let table = series_table("mean ±ci95:".into(), &self.x_label, &self.series);
+            let _ = writeln!(out, "{}", table.render());
+            if !rest.is_empty() {
+                let rel: Vec<ReportSeries> = rest.iter().map(|s| relative_to(s, base)).collect();
+                let title = format!("Relative to {} (the paper's (b) panel), %:", base.label);
+                let _ = writeln!(out, "{}", series_table(title, &self.x_label, &rel).render());
             }
-            let _ = writeln!(out, "{}", ascii_chart(&series, 16));
-            let _ = writeln!(out, "--- CSV ---\n{}", csv_table(&self.x_label, &series));
+            let _ = writeln!(out, "{}", ascii_chart(&self.series, 16));
+            let _ = writeln!(
+                out,
+                "--- CSV ---\n{}",
+                csv_table(&self.x_label, &self.series)
+            );
         }
         for t in &self.tables {
             let _ = writeln!(out, "{}", t.render());
@@ -698,9 +811,97 @@ fn str_array(v: &Json, key: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summarize;
 
     fn separators(line: &str) -> Vec<usize> {
         line.match_indices(" | ").map(|(i, _)| i).collect()
+    }
+
+    fn demo_series() -> Vec<ReportSeries> {
+        let mut a = ReportSeries::new("SI");
+        a.push(1.0, summarize(&[150.0, 160.0]));
+        a.push(10.0, summarize(&[800.0, 820.0]));
+        a.push(30.0, summarize(&[1150.0, 1140.0]));
+        let mut b = ReportSeries::new("MaterializeALL");
+        b.push(1.0, summarize(&[120.0]));
+        b.push(10.0, summarize(&[600.0]));
+        b.push(30.0, summarize(&[850.0]));
+        vec![a, b]
+    }
+
+    #[test]
+    fn table_contains_all_points() {
+        let t = series_table("t".into(), "MPL", &demo_series()).render();
+        assert!(t.contains("SI"));
+        assert!(t.contains("MaterializeALL"));
+        assert!(t.contains("1145.0"));
+        assert!(t.lines().count() >= 5);
+    }
+
+    #[test]
+    fn csv_is_machine_readable() {
+        let c = csv_table("mpl", &demo_series());
+        assert!(c.starts_with("mpl,series,mean,ci95,n\n"));
+        assert_eq!(c.lines().count(), 1 + 6);
+        assert!(c.contains("30,SI,1145.000"));
+    }
+
+    #[test]
+    fn chart_renders_glyphs() {
+        let chart = ascii_chart(&demo_series(), 10);
+        assert!(chart.contains('*'));
+        assert!(chart.contains('o'));
+        assert!(chart.contains("SI"));
+    }
+
+    #[test]
+    fn chart_handles_empty() {
+        assert_eq!(ascii_chart(&[], 10), "(no data)\n");
+    }
+
+    #[test]
+    fn series_helpers() {
+        let s = &demo_series()[0];
+        assert_eq!(s.at(10.0), Some(810.0));
+        assert_eq!(s.at(99.0), None);
+        assert!((s.peak() - 1145.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn relative_panel_is_a_percentage_of_the_first_line() {
+        let series = demo_series();
+        let rel = relative_to(&series[1], &series[0]);
+        assert_eq!(rel.points.len(), 3);
+        assert!((rel.at(1.0).unwrap() - 120.0 / 155.0 * 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn series_under_the_same_x_label_accumulate() {
+        let mut report = BenchReport::new("r", "r", BenchMode::Smoke);
+        let [a, b]: [ReportSeries; 2] = demo_series().try_into().unwrap();
+        report.push_series("MPL", [a]);
+        report.push_series("MPL", [b]);
+        assert_eq!(report.x_label, "MPL");
+        assert_eq!(report.series.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict")]
+    fn a_second_x_label_panics() {
+        let mut report = BenchReport::new("r", "r", BenchMode::Smoke);
+        let [a, b]: [ReportSeries; 2] = demo_series().try_into().unwrap();
+        report.push_series("window", [a]);
+        report.push_series("workers", [b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascend")]
+    fn descending_x_values_panic() {
+        let mut s = ReportSeries::new("replayed bytes");
+        s.push(0.0, summarize(&[3.0]));
+        s.push(37.0, summarize(&[2.0]));
+        s.push(9.0, summarize(&[1.0]));
+        BenchReport::new("r", "r", BenchMode::Smoke).push_series("interval", [s]);
     }
 
     #[test]

@@ -30,14 +30,6 @@ fn series<'a>(report: &'a BenchReport, label: &str) -> &'a ReportSeries {
         })
 }
 
-fn mean_at(s: &ReportSeries, x: f64) -> f64 {
-    s.points
-        .iter()
-        .find(|p| (p.x - x).abs() < 1e-9)
-        .unwrap_or_else(|| panic!("series `{}` has no point at x={x}", s.label))
-        .mean
-}
-
 #[test]
 fn report_identifies_itself_and_the_axis() {
     let report = committed_report();
@@ -86,14 +78,12 @@ fn every_line_has_goodput_and_p99_across_the_sweep() {
 fn drop_on_full_bounds_p99_at_twice_saturation() {
     let report = committed_report();
     for strategy in STRATEGIES {
-        let unbounded = mean_at(
-            series(&report, &format!("{strategy}/unbounded p99 ms")),
-            2.0,
-        );
-        let dropping = mean_at(
-            series(&report, &format!("{strategy}/drop-on-full p99 ms")),
-            2.0,
-        );
+        let p99_at_2x = |policy: &str| {
+            series(&report, &format!("{strategy}/{policy} p99 ms"))
+                .at(2.0)
+                .unwrap_or_else(|| panic!("{strategy}/{policy} has no point at 2×"))
+        };
+        let (unbounded, dropping) = (p99_at_2x("unbounded"), p99_at_2x("drop-on-full"));
         assert!(
             dropping < unbounded,
             "{strategy}: committed report must show drop-on-full p99 \

@@ -17,6 +17,13 @@
 //!
 //! The driver is engine-agnostic: anything implementing [`Workload`] can
 //! be measured. `sicost-smallbank` provides the SmallBank adapter.
+//!
+//! The driver measures and renders nothing: its results are plain
+//! metrics ([`RunMetrics`], [`OpenMetrics`], a [`Summary`] per repeat
+//! set), and `sicost-bench`'s `BenchReport` turns them into text and
+//! JSON.
+//!
+//! [`Summary`]: sicost_common::Summary
 
 #![deny(missing_docs)]
 
@@ -25,7 +32,6 @@ pub mod arrival;
 pub mod hooks;
 pub mod metrics;
 pub mod open_runner;
-pub mod report;
 pub mod retry;
 pub mod runner;
 
@@ -34,9 +40,5 @@ pub use arrival::ArrivalProcess;
 pub use hooks::{AttemptObserver, NullAttemptObserver};
 pub use metrics::{KindMetrics, OpenKindMetrics, OpenMetrics, Outcome, RunMetrics};
 pub use open_runner::{run_open, OpenConfig};
-pub use report::{
-    ascii_chart, csv_table, render_table, CheckpointReport, LatencyReport, LockWaitReport,
-    OpenLoopReport, Report, RetryReport, Series, SeriesPoint, VacuumReport,
-};
 pub use retry::{RetryDecision, RetryPolicy};
 pub use runner::{repeat_summary, run, RunConfig, Workload};

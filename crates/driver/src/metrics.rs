@@ -497,6 +497,28 @@ mod tests {
         assert_eq!(m.mean_latency(), Duration::ZERO);
     }
 
+    /// A window in which every attempt aborted (no commits, no latency
+    /// or retry samples), and a zero-length window, yield zero rates,
+    /// never NaN.
+    #[test]
+    fn a_window_with_only_aborted_attempts_is_zero_safe() {
+        let mut m = RunMetrics::new(vec!["bal", "wc"], 4);
+        for _ in 0..7 {
+            m.per_kind[0].record(Outcome::SerializationFailure, Duration::ZERO);
+        }
+        m.per_kind[1].record(Outcome::Deadlock, Duration::ZERO);
+        m.per_kind[1].record_give_up();
+        m.measured = Duration::from_millis(250);
+        assert_eq!(m.commits(), 0);
+        assert_eq!(m.tps(), 0.0, "zero commits must yield 0 tps, not NaN");
+        assert_eq!(m.retries_per_commit(), 0.0);
+        assert_eq!(m.mean_latency(), Duration::ZERO);
+        m.measured = Duration::ZERO;
+        assert_eq!(m.tps(), 0.0, "a zero-length window must yield 0 tps");
+        assert_eq!(m.retries_per_commit(), 0.0);
+        assert_eq!(m.mean_latency(), Duration::ZERO);
+    }
+
     #[test]
     fn open_metrics_separate_offered_from_served() {
         let mut m = OpenMetrics::new(vec!["A", "B"]);

@@ -82,12 +82,6 @@ impl RunConfig {
         }
     }
 
-    /// A fast configuration for tests. Retry is disabled so every attempt
-    /// is final, as in the pre-retry driver. (Alias of [`RunConfig::new`].)
-    pub fn quick(mpl: usize) -> Self {
-        Self::new(mpl)
-    }
-
     /// Sets the ramp-up period excluded from measurement (builder-style).
     pub fn with_ramp_up(mut self, ramp_up: Duration) -> Self {
         self.ramp_up = ramp_up;
@@ -304,7 +298,7 @@ mod tests {
         let toy = Toy {
             attempts: AtomicU64::new(0),
         };
-        let m = run(&toy, &RunConfig::quick(4));
+        let m = run(&toy, &RunConfig::new(4));
         let counted = m.commits() + m.serialization_failures();
         let attempted = toy.attempts.load(Ordering::Relaxed);
         assert!(counted > 0, "something must be measured");
@@ -322,11 +316,11 @@ mod tests {
         let toy = Toy {
             attempts: AtomicU64::new(0),
         };
-        let m1 = run(&toy, &RunConfig::quick(1));
+        let m1 = run(&toy, &RunConfig::new(1));
         let toy2 = Toy {
             attempts: AtomicU64::new(0),
         };
-        let m8 = run(&toy2, &RunConfig::quick(8));
+        let m8 = run(&toy2, &RunConfig::new(8));
         assert!(
             m8.tps() > m1.tps() * 3.0,
             "8 threads must far outrun 1 on a sleep-bound load: {} vs {}",
@@ -341,7 +335,7 @@ mod tests {
             |_| Toy {
                 attempts: AtomicU64::new(0),
             },
-            RunConfig::quick(2),
+            RunConfig::new(2),
             3,
         );
         assert_eq!(runs.len(), 3);
@@ -354,7 +348,7 @@ mod tests {
         let toy = Toy {
             attempts: AtomicU64::new(0),
         };
-        let m = run(&toy, &RunConfig::quick(2));
+        let m = run(&toy, &RunConfig::new(2));
         let lat = m.mean_latency();
         assert!(
             lat >= Duration::from_micros(400),
@@ -562,7 +556,7 @@ mod tests {
             attempts: AtomicU64::new(0),
         };
         let obs = Arc::new(Counting::default());
-        let cfg = RunConfig::quick(2).with_observer(obs.clone());
+        let cfg = RunConfig::new(2).with_observer(obs.clone());
         let _ = run(&toy, &cfg);
         let begins = obs.begins.load(Ordering::Relaxed);
         assert!(begins > 0, "the configured observer must fire");

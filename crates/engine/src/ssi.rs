@@ -99,13 +99,14 @@ struct ReadShard {
 /// Is `other` concurrent with a transaction that started at `start`?
 /// Committed transactions stay "concurrent" with anything that started
 /// before their commit; committing ones are treated as concurrent.
-/// The comparison is inclusive because read-only transactions commit
-/// at their snapshot timestamp: a reader and a writer beginning on the
-/// same clock tick genuinely overlap even though their timestamps tie
-/// (conservative: ties may add false aborts, never unsoundness).
+/// The comparison is strict: a snapshot at `start` sees every version
+/// with `ts <= start`, so a commit at or below it happened before the
+/// snapshot was taken. (Read-only transactions commit at their snapshot
+/// timestamp; counting that tie as overlap made every serial successor
+/// look concurrent and aborted transactions that overlapped nothing.)
 fn concurrent_with(txns: &TxnMap, other: TxnId, start: Ts) -> bool {
     match txns.get(&other) {
-        Some(t) => t.commit_ts.map(|c| c >= start).unwrap_or(true),
+        Some(t) => t.commit_ts.map(|c| c > start).unwrap_or(true),
         None => false, // unknown ⇒ long gone ⇒ not concurrent
     }
 }

@@ -304,6 +304,31 @@ impl<'db> Transaction<'db> {
             self.lock(LockTarget::table(table), LockMode::S)?;
         }
         let t = self.db.catalog.table(table);
+        // Phantom protection under SSI: a predicate read marks the whole
+        // relation (Cahill's relation-granularity SIREAD), so any
+        // insert/update/delete in this table by a concurrent transaction
+        // raises the antidependency even if it touches rows the scan does
+        // not return. The mark goes up before the snapshot walk and, like
+        // a point read's, then looks up the writers of every version the
+        // snapshot cannot see: a writer either validates against the
+        // mark, is still announced when it goes up, or has installed by
+        // the time of the lookup — even one that committed entirely
+        // before this scan began.
+        if self.cc() == CcMode::Ssi {
+            let marked =
+                self.db
+                    .ssi
+                    .on_read_then(self.id, crate::ssi::table_read_key(table), || {
+                        let mut writers = Vec::new();
+                        t.visit_newer(self.snapshot, &mut |v| writers.push(v.writer));
+                        writers.sort_unstable();
+                        writers.dedup();
+                        writers
+                    });
+            if let Err(e) = marked {
+                return Err(self.fail(e));
+            }
+        }
         let mut hits: HashMap<Value, (Row, Option<Ts>)> = HashMap::new();
         t.scan_at(self.read_ts(), pred, |pk, row, ts| {
             hits.insert(pk.clone(), (row.clone(), Some(ts)));
@@ -338,26 +363,15 @@ impl<'db> Transaction<'db> {
                     observed: Some(ts),
                 });
                 if self.cc() == CcMode::Ssi {
-                    if let Err(e) = self.db.ssi.on_read(self.id, (table, pk.clone()), &[]) {
+                    let marked = self.db.ssi.on_read_then(self.id, (table, pk.clone()), || {
+                        self.newer_writers(t.as_ref(), &pk)
+                    });
+                    if let Err(e) = marked {
                         return Err(self.fail(e));
                     }
                 }
             }
             out.push((pk, row));
-        }
-        // Phantom protection under SSI: a predicate read marks the whole
-        // relation (Cahill's relation-granularity SIREAD), so any later
-        // insert/update/delete in this table by a concurrent transaction
-        // raises the antidependency even if it touches rows the scan did
-        // not return.
-        if self.cc() == CcMode::Ssi {
-            if let Err(e) = self
-                .db
-                .ssi
-                .on_read(self.id, crate::ssi::table_read_key(table), &[])
-            {
-                return Err(self.fail(e));
-            }
         }
         Ok(out)
     }

@@ -1,8 +1,10 @@
 //! Cross-thread semantics tests for the engine: these pin down exactly the
 //! behaviours the paper's analysis relies on.
 
-use sicost_common::Ts;
-use sicost_engine::{CcMode, Database, EngineConfig, SerializationKind, SfuSemantics, TxnError};
+use sicost_common::{TableId, Ts};
+use sicost_engine::{
+    CcMode, Database, EngineConfig, SerializationKind, SfuSemantics, Transaction, TxnError,
+};
 use sicost_storage::{Catalog, ColumnDef, ColumnType, Predicate, Row, TableSchema, Value};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -802,4 +804,53 @@ fn ssi_blocks_scan_based_write_skew() {
     assert_eq!(run(CcMode::SiFirstUpdaterWins), 2);
     // SSI: at most one commits.
     assert!(run(CcMode::Ssi) <= 1, "SSI must abort one scanner");
+}
+
+/// One transaction's write, run against table `T`.
+type Write = fn(&mut Transaction<'_>, TableId) -> Result<(), TxnError>;
+
+/// A predicate read must see the writers that committed after its
+/// snapshot, even ones that finished before the scan began. T1 and T2
+/// begin together; T2 scans `T`, writes and commits; only then does T1
+/// scan `T` (its snapshot hides T2's write) and write something T2's
+/// scan covered. T1 →rw T2 →rw T1 is a cycle, so T1 must not commit.
+fn scan_after_a_committed_writer(t2_write: Write, t1_write: Write) -> Result<(), TxnError> {
+    let db = db_with(EngineConfig::functional().with_cc(CcMode::Ssi));
+    let tid = db.table_id("T").unwrap();
+    let mut t1 = db.begin();
+    let mut t2 = db.begin();
+    t2.scan(tid, &Predicate::True).unwrap();
+    t2_write(&mut t2, tid).unwrap();
+    t2.commit().expect("the first committer has no rw edge yet");
+    (|| {
+        t1.scan(tid, &Predicate::True)?;
+        t1_write(&mut t1, tid)?;
+        t1.commit().map(|_| ())
+    })()
+}
+
+#[test]
+fn ssi_scan_sees_an_insert_committed_before_it() {
+    let t1 = scan_after_a_committed_writer(
+        |t2, tid| t2.insert(tid, row(50, 100)),
+        |t1, tid| t1.insert(tid, row(51, 100)),
+    );
+    assert_eq!(
+        t1,
+        Err(TxnError::Serialization(SerializationKind::SsiPivot)),
+        "T1 and T2 each scanned without the other's insert: a cycle"
+    );
+}
+
+#[test]
+fn ssi_scan_sees_an_update_committed_before_it() {
+    let t1 = scan_after_a_committed_writer(
+        |t2, tid| t2.update(tid, &Value::int(1), row(1, 0)),
+        |t1, tid| t1.update(tid, &Value::int(2), row(2, 0)),
+    );
+    assert_eq!(
+        t1,
+        Err(TxnError::Serialization(SerializationKind::SsiPivot)),
+        "T1's scan returned row 1 below T2's update: a cycle"
+    );
 }

@@ -35,6 +35,12 @@
 //! * `Serializable`: the multi-version serialization graph over committed
 //!   transactions (ww ∪ wr ∪ rw edges) is acyclic.
 //!
+//! Beside them, one precision property (model-only; the spec has no
+//! lifetime bookkeeping):
+//!
+//! * `IsolatedNeverAborts`: a transaction whose lifetime overlaps no
+//!   other's never aborts — the protocol aborts work only for a reason.
+//!
 //! With `ssi_enabled = false` (plain snapshot isolation), exhaustive
 //! exploration *must* find the classic write-skew cycle — the checker's
 //! teeth are tested, not assumed.
@@ -75,6 +81,10 @@ pub struct TxnState {
     pub out_conflict: bool,
     /// Doomed by a concurrent pivot detection; must abort.
     pub doomed: bool,
+    /// Was active at the same time as another transaction. Commits are
+    /// atomic, so two lifetimes overlap exactly when one begins while
+    /// the other is active.
+    pub overlapped: bool,
 }
 
 /// One state of the protocol model.
@@ -141,12 +151,13 @@ fn abortable(t: &TxnState) -> bool {
 }
 
 /// Port of `sicost_engine::ssi::concurrent_with`: committed transactions
-/// stay concurrent with anything that started at or before their commit
-/// (inclusive tie — conservative); absent transactions are long gone.
+/// stay concurrent with anything that started strictly before their
+/// commit (a snapshot at `start` already sees a commit at `start`);
+/// absent transactions are long gone.
 fn concurrent_with(txns: &[TxnState], other: usize, start: u8) -> bool {
     match txns[other].phase {
         Phase::Active => true,
-        Phase::Committed(c) => c >= start,
+        Phase::Committed(c) => c > start,
         Phase::NotStarted | Phase::Aborted => false,
     }
 }
@@ -237,6 +248,7 @@ impl Model for SsiFcwModel {
                     in_conflict: false,
                     out_conflict: false,
                     doomed: false,
+                    overlapped: false,
                 };
                 self.txns
             ],
@@ -271,6 +283,12 @@ impl Model for SsiFcwModel {
         match *action {
             Action::Begin(t) => {
                 let t = t as usize;
+                let mut overlapped = false;
+                for other in n.txns.iter_mut().filter(|o| o.phase == Phase::Active) {
+                    other.overlapped = true;
+                    overlapped = true;
+                }
+                n.txns[t].overlapped = overlapped;
                 n.txns[t].phase = Phase::Active;
                 n.txns[t].snapshot = n.clock;
             }
@@ -412,6 +430,10 @@ impl Model for SsiFcwModel {
                 name: "Serializable",
                 check: inv_serializable,
             },
+            Invariant {
+                name: "IsolatedNeverAborts",
+                check: inv_isolated_never_aborts,
+            },
         ]
     }
 }
@@ -448,6 +470,16 @@ fn inv_snapshot_read(s: &State) -> bool {
                 .iter()
                 .all(|&(k, observed)| s.observed_version(k as usize, t.snapshot) == observed)
         })
+}
+
+/// Precision: every aborted transaction overlapped another. Any abort
+/// needs a concurrent conflicting transaction — a newer committed version
+/// under FCW, an rw edge with a concurrent transaction under SSI — so a
+/// transaction that ran alone must commit.
+fn inv_isolated_never_aborts(s: &State) -> bool {
+    s.txns
+        .iter()
+        .all(|t| t.phase != Phase::Aborted || t.overlapped)
 }
 
 /// The multi-version serialization graph over committed transactions is

@@ -113,7 +113,7 @@ mod tests {
         // checks flowing, we verify the bank still *balances its books*
         // by re-running the audit twice and checking engine metrics add up.
         let d = driver(Strategy::BaseSI);
-        let metrics = run(&d, &RunConfig::quick(4));
+        let metrics = run(&d, &RunConfig::new(4));
         assert!(metrics.commits() > 0, "the run must make progress");
         let em = d.bank().db().metrics();
         assert!(em.commits >= metrics.commits());
@@ -125,11 +125,37 @@ mod tests {
         assert_eq!(d.bank().total_balance(), d.bank().total_balance());
     }
 
+    /// Precision: one client runs its transactions one after another, so
+    /// none overlaps another and SSI has no reason to abort any of them,
+    /// even on the high-contention mix.
+    #[test]
+    fn ssi_at_mpl_1_has_no_serialization_failures() {
+        let bank = Arc::new(SmallBank::new(
+            &SmallBankConfig::small(200),
+            EngineConfig::functional().with_cc(sicost_engine::CcMode::Ssi),
+            Strategy::BaseSI,
+        ));
+        let params = WorkloadParams {
+            mix: crate::workload::MixWeights::high_contention(),
+            ..WorkloadParams::paper_default().scaled(200, 10)
+        };
+        let d = SmallBankDriver::new(bank, SmallBankWorkload::new(params));
+        let metrics = run(&d, &RunConfig::new(1));
+        assert!(metrics.commits() > 100, "the run must make progress");
+        assert_eq!(
+            metrics.serialization_failures(),
+            0,
+            "a serial SSI run aborted {} of {} attempts",
+            metrics.serialization_failures(),
+            metrics.attempts()
+        );
+    }
+
     #[test]
     fn strategies_run_under_concurrency_without_wedging() {
         for strategy in [Strategy::MaterializeALL, Strategy::PromoteALL] {
             let d = driver(strategy);
-            let metrics = run(&d, &RunConfig::quick(4));
+            let metrics = run(&d, &RunConfig::new(4));
             assert!(
                 metrics.commits() > 0,
                 "{strategy} wedged: {:?}",

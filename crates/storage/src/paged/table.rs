@@ -239,6 +239,15 @@ impl crate::TableStore for PagedTable {
         }
     }
 
+    fn visit_newer(&self, snap: Ts, f: &mut dyn FnMut(&Version)) {
+        for page in 0..self.pages {
+            let handle = self.fetch(page);
+            for chain in handle.read().values() {
+                chain.iter().filter(|v| v.ts > snap).for_each(&mut *f);
+            }
+        }
+    }
+
     fn prune(&self, horizon: Ts) -> usize {
         let mut reclaimed = 0;
         let mut max = 0;

@@ -172,6 +172,11 @@ pub trait TableStore: Send + Sync {
     /// backend-defined (the engine sorts where order matters).
     fn scan_visible(&self, snap: Ts, pred: &Predicate, f: &mut dyn FnMut(&Value, &Row, Ts));
 
+    /// Calls `f` with every version, of any record, committed after
+    /// `snap` — the versions a snapshot at `snap` cannot see, deletions
+    /// included. Iteration order is backend-defined.
+    fn visit_newer(&self, snap: Ts, f: &mut dyn FnMut(&Version));
+
     /// Garbage-collects versions invisible to every snapshot at or after
     /// `horizon`. Returns the number of versions reclaimed.
     fn prune(&self, horizon: Ts) -> usize;
@@ -280,6 +285,10 @@ impl TableStore for crate::table::Table {
 
     fn scan_visible(&self, snap: Ts, pred: &Predicate, f: &mut dyn FnMut(&Value, &Row, Ts)) {
         crate::table::Table::scan_at(self, snap, pred, |pk, row, ts| f(pk, row, ts));
+    }
+
+    fn visit_newer(&self, snap: Ts, f: &mut dyn FnMut(&Version)) {
+        crate::table::Table::visit_newer(self, snap, f);
     }
 
     fn prune(&self, horizon: Ts) -> usize {

@@ -408,6 +408,21 @@ impl Table {
         }
     }
 
+    /// Calls `f` with every version, of any record, committed after
+    /// `snap` (deletions included). Order unspecified; lock-free like
+    /// [`Table::scan_at`].
+    pub fn visit_newer(&self, snap: Ts, mut f: impl FnMut(&Version)) {
+        for shard in &self.shards {
+            let g = epoch::pin();
+            for cell in shard.load(&g).values() {
+                cell.load(&g)
+                    .iter()
+                    .filter(|v| v.ts > snap)
+                    .for_each(&mut f);
+            }
+        }
+    }
+
     /// Consistent-snapshot extract for checkpointing: every record whose
     /// visible version at `snap` is live data, as `(pk, row)` pairs sorted
     /// by primary key. The MVCC read means writers keep committing newer

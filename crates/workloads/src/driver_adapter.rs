@@ -121,7 +121,7 @@ mod tests {
             None,
         );
         assert_eq!(driver.kinds().len(), driver.programs().len());
-        let metrics = run(&driver, &RunConfig::quick(4));
+        let metrics = run(&driver, &RunConfig::new(4));
         assert!(metrics.commits() > 0, "the cell must make progress");
     }
 

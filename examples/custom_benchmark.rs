@@ -6,11 +6,12 @@
 //! cargo run --release --example custom_benchmark
 //! ```
 
-use sicost::common::{OnlineStats, Xoshiro256};
-use sicost::driver::{render_table, run, Outcome, RetryPolicy, RunConfig, Series, Workload};
+use sicost::common::Xoshiro256;
+use sicost::driver::{run, Outcome, RetryPolicy, RunConfig, Workload};
 use sicost::engine::{CcMode, CostModel, Database, EngineConfig};
 use sicost::storage::{ColumnDef, ColumnType, Row, TableSchema, Value};
 use sicost::wal::WalConfig;
+use sicost_bench::{summarize, BenchMode, BenchReport, ReportSeries};
 use std::time::Duration;
 
 /// A custom workload: 80% point reads, 20% read-modify-write increments
@@ -119,9 +120,16 @@ fn classify(r: Result<(), sicost::engine::TxnError>) -> Outcome {
 
 fn main() {
     let mpls = [1usize, 4, 8, 16];
-    let mut table = Vec::new();
+    let mut report = BenchReport::new(
+        "custom_benchmark",
+        "Counter workload: SI vs SSI vs S2PL throughput (tps) by MPL",
+        BenchMode::Smoke,
+    );
+    report.expectation = "SI and SSI scale with MPL (readers never block; SSI pays a \
+         small validation overhead); S2PL trails once readers start queueing behind writers."
+        .into();
     for cc in [CcMode::SiFirstUpdaterWins, CcMode::Ssi, CcMode::S2pl] {
-        let mut series = Series::new(format!("{cc:?}"));
+        let mut series = ReportSeries::new(format!("{cc:?}"));
         for &mpl in &mpls {
             let wl = Counters::new(cc);
             let metrics = run(
@@ -132,9 +140,7 @@ fn main() {
                     .with_seed(42)
                     .with_retry(RetryPolicy::disabled()),
             );
-            let mut stats = OnlineStats::new();
-            stats.push(metrics.tps());
-            series.push(mpl as f64, stats.summary());
+            series.push(mpl as f64, summarize(&[metrics.tps()]));
             println!(
                 "{cc:?} mpl={mpl}: {:.0} tps, {} serialization aborts, {} deadlocks, mean latency {:?}",
                 metrics.tps(),
@@ -143,12 +149,7 @@ fn main() {
                 metrics.mean_latency(),
             );
         }
-        table.push(series);
+        report.push_series("MPL", [series]);
     }
-    println!("\n{}", render_table("MPL", &table));
-    println!(
-        "Expected shape: SI and SSI scale with MPL (readers never block; \
-         SSI pays a small validation overhead); S2PL trails once readers \
-         start queueing behind writers."
-    );
+    print!("{}", report.render());
 }

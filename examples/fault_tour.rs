@@ -7,7 +7,7 @@
 //! ```
 
 use sicost::common::{CrashPoint, FaultConfig, FaultInjector, Ts, Xoshiro256};
-use sicost::driver::{run, Outcome, Report, RetryPolicy, RetryReport, RunConfig, Workload};
+use sicost::driver::{run, Outcome, RetryPolicy, RunConfig, Workload};
 use sicost::engine::{Database, EngineConfig, TxnError};
 use sicost::storage::{Catalog, ColumnDef, ColumnType, Row, TableSchema, Value};
 use sicost::wal::recover;
@@ -104,7 +104,21 @@ fn main() {
             .with_seed(42)
             .with_retry(RetryPolicy::paper_default()),
     );
-    println!("{}", RetryReport(&metrics).render());
+    println!(
+        "{} attempts: {} commits, {} transient faults, {} serialization failures, \
+         {} deadlocks, {} give-ups",
+        metrics.attempts(),
+        metrics.commits(),
+        metrics.transient_faults(),
+        metrics.serialization_failures(),
+        metrics.deadlocks(),
+        metrics.give_ups(),
+    );
+    println!(
+        "goodput {:.1} tps, {:.2} retries/commit",
+        metrics.tps(),
+        metrics.retries_per_commit(),
+    );
     let stats = wl.db.faults().unwrap().stats();
     println!(
         "injected: {} forced aborts, {} sync errors, {} latency spikes\n",
